@@ -48,35 +48,41 @@ class PlanCache:
     """Memoized plan preparation (level 1).
 
     Two memos: :meth:`normalized` (pure normalization, the historical
-    entry point) and :meth:`prepared` (normalize → optimize →
-    re-normalize, the engine's default since the optimizer landed).
-    Both are thread-safe via the locked :func:`~repro.util.memo.
-    lru_cached` wrapper; the optimizer's rewrite tallies accumulate
-    under a private lock only on memo misses, so warm lookups stay
-    contention-free.
+    entry point) and :meth:`prepared` (optimization, whose output is
+    normalized, the engine's default since the optimizer landed).  A
+    cold plan costs one memo miss.  Both functions are idempotent, so
+    each miss also records its output as its own answer: preparing a
+    prepared plan is a hit.  Both are thread-safe via the locked
+    :func:`~repro.util.memo.lru_cached` wrapper; the optimizer's
+    rewrite tallies accumulate under a private lock only on memo
+    misses, so warm lookups stay contention-free.
     """
 
     def __init__(self, maxsize: int = 4096):
-        self._normalize = lru_cached(maxsize=maxsize)(
-            lambda plan, signature=None: normalize(plan, signature))
+        self._normalize = lru_cached(maxsize=maxsize)(self._normalize_impl)
         self._prepare = lru_cached(maxsize=maxsize)(self._prepare_impl)
         self._opt_lock = threading.Lock()
         self._optimizations = 0
         self._rewrites: dict[str, int] = {}
 
-    def _prepare_impl(self, plan: Plan, signature=None):
+    def _normalize_impl(self, plan: Plan, signature=None) -> Plan:
+        out = normalize(plan, signature)
+        self._normalize.prime(out, out, signature=signature)
+        return out
+
+    def _prepare_impl(self, plan: Plan, signature=None) -> Plan:
         # Imported here, not at module top: optimize.py imports plan.py
         # which this module also imports; keeping the heavy import lazy
         # avoids ordering constraints and costs one dict lookup per
         # memo *miss* only.
         from .optimize import optimize_result
-        result = optimize_result(self._normalize(plan, signature=signature),
-                                 signature)
+        result = optimize_result(plan, signature)
         with self._opt_lock:
             self._optimizations += 1
             for name, count in result.rewrites:
                 self._rewrites[name] = self._rewrites.get(name, 0) + count
-        return normalize(result.plan, signature)
+        self._prepare.prime(result.plan, result.plan, signature=signature)
+        return result.plan
 
     def normalized(self, plan: Plan,
                    signature: tuple[int, ...] | None = None) -> Plan:

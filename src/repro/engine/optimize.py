@@ -42,15 +42,18 @@ absent: a path may lack tree children.
 :func:`~repro.engine.plan.normalize`, and is idempotent —
 ``optimize(optimize(p)) == optimize(p)`` — which the property-test
 battery (``tests/test_engine/test_optimize_properties.py``) checks on
-generated plans, along with per-rule semantic preservation.
+generated plans, along with per-rule semantic preservation.  Within one
+call, ranks, normal forms and whole passes are memoized per subtree
+(:class:`~repro.engine.plan.PlanMemo`), so a call costs time in
+proportion to the nodes it creates (``docs/optimizer.md``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from ..errors import RankMismatchError, TypeSignatureError
 from ..trace import limits
 from .plan import (
     EXISTS,
@@ -67,12 +70,11 @@ from .plan import (
     Join,
     MachineFixpoint,
     Plan,
+    PlanMemo,
     Project,
     Quantify,
     Scan,
     Union,
-    normalize,
-    plan_rank,
 )
 
 #: Nodes with no children (rewritten only through their parents).
@@ -81,40 +83,6 @@ LEAVES = (Scan, FullScan, Empty, Fixpoint, MachineFixpoint, FcfFixpoint)
 #: Local rule applications per node per pass — a safety valve, far
 #: above what any terminating rule sequence needs.
 _NODE_ITERATIONS = 64
-
-_UNSET = object()
-
-
-class _Ranker:
-    """Memoized static rank: an ``int``, or ``None`` when the rank is
-    unknown (dynamic fixpoint below, missing signature) or the node is
-    statically ill-ranked — either way, rules must not fire.
-
-    The memo is keyed by object identity, not plan equality: plan
-    hashing is recursive (``O(subtree)`` per lookup), which profiling
-    showed dominating whole optimization passes.  Entries keep a
-    reference to their plan so the id cannot be recycled underneath
-    the memo; a ranker lives only for one :func:`optimize_result`
-    call, bounding the retained garbage to that plan's rewrite
-    history."""
-
-    __slots__ = ("_signature", "_memo")
-
-    def __init__(self, signature: Sequence[int] | None):
-        self._signature = tuple(signature) if signature is not None else ()
-        self._memo: dict[int, tuple[Plan, int | None]] = {}
-
-    def __call__(self, plan: Plan) -> int | None:
-        entry = self._memo.get(id(plan))
-        if entry is not None and entry[0] is plan:
-            return entry[1]
-        try:
-            rank = plan_rank(plan, self._signature)
-        except (RankMismatchError, TypeSignatureError, TypeError):
-            rank = None
-        self._memo[id(plan)] = (plan, rank)
-        return rank
-
 
 def _resolve(i: int, n: int) -> int:
     """A possibly-negative coordinate index, resolved against rank ``n``."""
@@ -147,9 +115,10 @@ def _refilter(spec: Plan, child: Plan) -> Plan:
 
 
 # ---------------------------------------------------------------------------
-# The rewrite rules.  Each takes (node, rank) — ``rank`` the memoized
-# static ranker — and returns a semantically equal replacement or None.
-# The driver only calls a rule when ``rank(node)`` is a valid int.
+# The rewrite rules.  Each takes (node, rank) — ``rank`` the call's
+# memoized :meth:`~repro.engine.plan.PlanMemo.rank` — and returns a
+# semantically equal replacement or None.  The driver only calls a rule
+# when ``rank(node)`` is a valid int.
 # ---------------------------------------------------------------------------
 
 def _rw_complement_complement(node: Complement, rank) -> Plan | None:
@@ -491,17 +460,12 @@ def _rw_intersect_filter(node: Intersect, rank) -> Plan | None:
 
 @dataclass(frozen=True)
 class Rule:
-    """One named rewrite: ``fn(node, rank) -> Plan | None``."""
+    """One named rewrite: ``fn(node, rank) -> Plan | None``, offered
+    only to nodes of ``types``."""
 
     name: str
     types: type | tuple[type, ...]
     fn: object
-
-    def apply(self, node: Plan, rank) -> Plan | None:
-        """The rule's replacement for ``node``, or ``None``."""
-        if not isinstance(node, self.types):
-            return None
-        return self.fn(node, rank)
 
 
 #: The full rule catalog, in application order (docs/optimizer.md
@@ -547,6 +511,19 @@ RULES: tuple[Rule, ...] = (
 RULE_NAMES: tuple[str, ...] = tuple(r.name for r in RULES)
 
 
+def _dispatch(rules: Sequence[Rule]) -> dict[type, tuple[Rule, ...]]:
+    """Node class → the rules offered to it, in catalog order."""
+    table: dict[type, list[Rule]] = {}
+    for rule in rules:
+        types = rule.types if isinstance(rule.types, tuple) else (rule.types,)
+        for cls in types:
+            table.setdefault(cls, []).append(rule)
+    return {cls: tuple(entry) for cls, entry in table.items()}
+
+
+_RULE_TABLE = _dispatch(RULES)
+
+
 def _map_children(plan: Plan, fn) -> Plan:
     """``plan`` with every direct child mapped through ``fn`` (node
     identity preserved when nothing changed)."""
@@ -578,26 +555,55 @@ def _map_children(plan: Plan, fn) -> Plan:
     raise TypeError(f"unknown plan node {plan!r}")
 
 
-def _rewrite_pass(plan: Plan, rank: _Ranker, rules: Sequence[Rule],
-                  counts: dict[str, int]) -> Plan:
-    """One bottom-up pass: children first, then local rules to a
-    (bounded) local fixpoint."""
-    plan = _map_children(
-        plan, lambda c: _rewrite_pass(c, rank, rules, counts))
-    for __ in range(_NODE_ITERATIONS):
-        if rank(plan) is None:
+class _Rewriter:
+    """The rewrite passes of one :func:`optimize_result` call.
+
+    A pass is a pure function of its input subtree, so it is memoized
+    by input node for the whole call: a subtree that an earlier pass
+    left in place (normalization keeps unchanged nodes) costs one
+    probe.  Each entry holds its node (so the id stays unique), the
+    output, and the stretch of :attr:`fired` its rewrites took, which
+    a hit appends again, so the tallies stay exact.
+    """
+
+    __slots__ = ("table", "rank", "done", "fired")
+
+    def __init__(self, table: dict[type, tuple[Rule, ...]], rank):
+        self.table = table
+        self.rank = rank
+        self.done: dict[int, tuple[Plan, Plan, int, int]] = {}
+        #: Names of the rules fired, in order, replays included.
+        self.fired: list[str] = []
+
+    def rewrite(self, node: Plan) -> Plan:
+        """One bottom-up pass: children first, then local rules to a
+        (bounded) local fixpoint."""
+        if isinstance(node, LEAVES):
+            return node
+        entry = self.done.get(id(node))
+        if entry is not None:
+            __, out, start, end = entry
+            self.fired.extend(self.fired[start:end])
+            return out
+        fired, rank, table = self.fired, self.rank, self.table
+        start = len(fired)
+        out = _map_children(node, self.rewrite)
+        for __ in range(_NODE_ITERATIONS):
+            offered = table.get(type(out))
             # Ill-ranked or dynamic (fixpoint below): leave the node
             # exactly as written so execution errors are preserved.
-            return plan
-        for rule in rules:
-            out = rule.apply(plan, rank)
-            if out is not None and out != plan:
-                counts[rule.name] = counts.get(rule.name, 0) + 1
-                plan = out
+            if offered is None or rank(out) is None:
                 break
-        else:
-            return plan
-    return plan
+            for rule in offered:
+                new = rule.fn(out, rank)
+                if new is not None and new != out:
+                    fired.append(rule.name)
+                    out = new
+                    break
+            else:
+                break
+        self.done[id(node)] = (node, out, start, len(fired))
+        return out
 
 
 @dataclass(frozen=True)
@@ -629,25 +635,26 @@ def optimize_result(plan: Plan,
     changes nothing, so the cap only bites on pathological plans.
     """
     if rules is None:
-        selected: tuple[Rule, ...] = RULES
+        table = _RULE_TABLE
     else:
         wanted = set(rules)
         unknown = wanted - set(RULE_NAMES)
         if unknown:
             raise ValueError(f"unknown optimizer rules: {sorted(unknown)}")
-        selected = tuple(r for r in RULES if r.name in wanted)
-    rank = _Ranker(signature)
-    counts: dict[str, int] = {}
-    current = normalize(plan, signature)
+        table = _dispatch([r for r in RULES if r.name in wanted])
+    memo = PlanMemo(signature)
+    rewriter = _Rewriter(table, memo.rank)
+    current = memo.normalize(plan)
     passes = 0
     while passes < max_passes:
         before = current
-        current = normalize(
-            _rewrite_pass(current, rank, selected, counts), signature)
+        current = memo.normalize(rewriter.rewrite(current))
         passes += 1
         if current == before:
             break
-    return OptimizeResult(current, tuple(sorted(counts.items())), passes)
+    return OptimizeResult(current,
+                          tuple(sorted(Counter(rewriter.fired).items())),
+                          passes)
 
 
 def optimize(plan: Plan, signature: Sequence[int] | None = None, *,

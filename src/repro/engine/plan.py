@@ -318,9 +318,19 @@ for _cls in (Scan, FullScan, Empty, FilterEq, FilterAtom, Project, Extend,
 # Static rank computation.
 # ---------------------------------------------------------------------------
 
-def plan_rank(plan: Plan, signature: Sequence[int]) -> int:
-    """The output rank of a plan, statically (raises on rank errors)."""
+def plan_rank(plan: Plan, signature: Sequence[int],
+              child_rank=None) -> int:
+    """The output rank of a plan, statically (raises on rank errors).
+
+    ``child_rank(child)`` gives a child's rank, raising when the child
+    has none; by default it is this function, recursively.
+    :class:`PlanMemo` passes its memoized ranker, so that each node of
+    a tree it is asked about is checked once.
+    """
     signature = tuple(signature)
+    if child_rank is None:
+        def child_rank(child: Plan) -> int:
+            return plan_rank(child, signature)
     if isinstance(plan, Scan):
         if not 0 <= plan.index < len(signature):
             raise TypeSignatureError(
@@ -335,7 +345,7 @@ def plan_rank(plan: Plan, signature: Sequence[int]) -> int:
             raise RankMismatchError("Empty rank must be >= 0")
         return plan.rank
     if isinstance(plan, FilterEq):
-        n = plan_rank(plan.child, signature)
+        n = child_rank(plan.child)
         i = plan.i if plan.i >= 0 else n + plan.i
         j = plan.j if plan.j >= 0 else n + plan.j
         if not (0 <= i < n and 0 <= j < n):
@@ -343,7 +353,7 @@ def plan_rank(plan: Plan, signature: Sequence[int]) -> int:
                 f"FilterEq({plan.i}, {plan.j}) out of range for rank {n}")
         return n
     if isinstance(plan, FilterAtom):
-        n = plan_rank(plan.child, signature)
+        n = child_rank(plan.child)
         if not 0 <= plan.index < len(signature):
             raise TypeSignatureError(
                 f"FilterAtom relation {plan.index} out of range for "
@@ -358,23 +368,22 @@ def plan_rank(plan: Plan, signature: Sequence[int]) -> int:
                 f"for rank {n}")
         return n
     if isinstance(plan, Project):
-        n = plan_rank(plan.child, signature)
+        n = child_rank(plan.child)
         if any(not 0 <= c < n for c in plan.coords):
             raise RankMismatchError(
                 f"Project coords {plan.coords} out of range for rank {n}")
         return len(plan.coords)
     if isinstance(plan, Extend):
-        return plan_rank(plan.child, signature) + 1
+        return child_rank(plan.child) + 1
     if isinstance(plan, Join):
-        return (plan_rank(plan.left, signature)
-                + plan_rank(plan.right, signature))
+        return child_rank(plan.left) + child_rank(plan.right)
     if isinstance(plan, Quantify):
-        n = plan_rank(plan.child, signature)
+        n = child_rank(plan.child)
         if n == 0:
             raise RankMismatchError("Quantify needs rank >= 1")
         return n - 1
     if isinstance(plan, (Union, Intersect)):
-        ranks = {plan_rank(c, signature) for c in plan.children}
+        ranks = {child_rank(c) for c in plan.children}
         if not plan.children:
             raise RankMismatchError(
                 f"{type(plan).__name__} needs at least one child")
@@ -383,7 +392,7 @@ def plan_rank(plan: Plan, signature: Sequence[int]) -> int:
                 f"{type(plan).__name__} over mixed ranks {sorted(ranks)}")
         return ranks.pop()
     if isinstance(plan, Complement):
-        return plan_rank(plan.child, signature)
+        return child_rank(plan.child)
     if isinstance(plan, (Fixpoint, MachineFixpoint, FcfFixpoint)):
         raise RankMismatchError(
             f"{type(plan).__name__} rank is dynamic (known only after "
@@ -395,9 +404,137 @@ def plan_rank(plan: Plan, signature: Sequence[int]) -> int:
 # Normalization (the plan-cache key).
 # ---------------------------------------------------------------------------
 
-def _node_key(plan: Plan) -> str:
-    """A stable ordering key for commutative children."""
-    return repr(plan)
+class PlanMemo:
+    """Memos of three pure functions of a subtree, for one caller:
+    its static rank, its normal form, and its sort key among
+    commutative siblings.
+
+    The optimizer asks these about the same subtrees again and again:
+    each pass re-normalizes the whole tree, and the rules ask for
+    children's ranks.  Through one memo each node is answered once.
+    Entries are keyed by node identity — a dict probe with no
+    Python-level ``__hash__`` call — and hold their node, so an id
+    cannot be reused while the memo lives.  A memo lives only as long
+    as its caller keeps it: the values are not stored on the nodes,
+    where they would live as long as every cached plan, nor in a
+    process-wide table, which would grow without bound.
+    """
+
+    __slots__ = ("signature", "_ranks", "_normals", "_keys", "_shared")
+
+    def __init__(self, signature: Sequence[int] | None = None):
+        self.signature = tuple(signature) if signature is not None else None
+        self._ranks: dict[int, tuple[Plan, int | None]] = {}
+        self._normals: dict[int, tuple[Plan, Plan]] = {}
+        self._keys: dict[int, tuple[Plan, str]] = {}
+        self._shared: dict[Plan, Plan] = {}
+
+    def rank(self, plan: Plan) -> int | None:
+        """The static rank, or ``None`` when it is unknown (a dynamic
+        fixpoint below, a missing signature) or the plan is ill-ranked."""
+        entry = self._ranks.get(id(plan))
+        if entry is None:
+            try:
+                rank = plan_rank(plan, self.signature or (),
+                                 self._valid_rank)
+            except (RankMismatchError, TypeSignatureError, TypeError):
+                rank = None
+            entry = self._ranks[id(plan)] = (plan, rank)
+        return entry[1]
+
+    def _valid_rank(self, plan: Plan) -> int:
+        rank = self.rank(plan)
+        if rank is None:
+            raise RankMismatchError(f"{type(plan).__name__} has no rank")
+        return rank
+
+    def normalize(self, plan: Plan) -> Plan:
+        """The canonical form of ``plan`` (see :func:`normalize`).  A
+        subtree that is already canonical is returned as is."""
+        entry = self._normals.get(id(plan))
+        if entry is None:
+            # Equal canonical forms become one node, so the identity-keyed
+            # memos answer a repeated subtree as they answer the first.
+            out = self._normal_form(plan)
+            out = self._shared.setdefault(out, out)
+            entry = self._normals[id(plan)] = (plan, out)
+            # Canonical forms are fixpoints of normalization.
+            self._normals[id(out)] = (out, out)
+        return entry[1]
+
+    def _key(self, plan: Plan) -> str:
+        """``repr(plan)``, the stable order of commutative children,
+        built from the children's memoized keys."""
+        entry = self._keys.get(id(plan))
+        if entry is None:
+            parts = []
+            for name in plan.__dataclass_fields__:
+                value = getattr(plan, name)
+                if isinstance(value, Plan):
+                    text = self._key(value)
+                elif name == "children":
+                    text = ", ".join(map(self._key, value))
+                    text = f"({text},)" if len(value) == 1 else f"({text})"
+                else:
+                    text = repr(value)
+                parts.append(f"{name}={text}")
+            key = f"{type(plan).__qualname__}({', '.join(parts)})"
+            entry = self._keys[id(plan)] = (plan, key)
+        return entry[1]
+
+    def _normal_form(self, plan: Plan) -> Plan:
+        if isinstance(plan, Complement):
+            child = self.normalize(plan.child)
+            if isinstance(child, Complement):
+                return child.child
+            return plan if child is plan.child else Complement(child)
+        if isinstance(plan, (Union, Intersect)):
+            cls = type(plan)
+            flat: list[Plan] = []
+            for c in plan.children:
+                c = self.normalize(c)
+                if isinstance(c, cls):
+                    flat.extend(c.children)
+                else:
+                    flat.append(c)
+            unique = tuple(sorted(set(flat), key=self._key))
+            if len(unique) == 1:
+                return unique[0]
+            return plan if unique == plan.children else cls(unique)
+        if isinstance(plan, FilterEq):
+            i, j = sorted((plan.i, plan.j)) if (
+                (plan.i >= 0) == (plan.j >= 0)) else (plan.i, plan.j)
+            child = self.normalize(plan.child)
+            if child is plan.child and (i, j) == (plan.i, plan.j):
+                return plan
+            return FilterEq(child, i, j)
+        if isinstance(plan, FilterAtom):
+            child = self.normalize(plan.child)
+            if child is plan.child:
+                return plan
+            return FilterAtom(child, plan.index, plan.positions, plan.negate)
+        if isinstance(plan, Project):
+            child = self.normalize(plan.child)
+            if self.signature is not None:
+                n = self.rank(child)
+                if n is not None and plan.coords == tuple(range(n)):
+                    return child
+            return plan if child is plan.child else Project(child,
+                                                            plan.coords)
+        if isinstance(plan, Extend):
+            child = self.normalize(plan.child)
+            return plan if child is plan.child else Extend(child)
+        if isinstance(plan, Join):
+            left = self.normalize(plan.left)
+            right = self.normalize(plan.right)
+            if left is plan.left and right is plan.right:
+                return plan
+            return Join(left, right)
+        if isinstance(plan, Quantify):
+            child = self.normalize(plan.child)
+            return plan if child is plan.child else Quantify(child, plan.kind)
+        # Leaves and opaque fixpoints are already canonical.
+        return plan
 
 
 def normalize(plan: Plan, signature: Sequence[int] | None = None) -> Plan:
@@ -416,50 +553,7 @@ def normalize(plan: Plan, signature: Sequence[int] | None = None) -> Plan:
     Two plans that normalize identically share a plan-cache entry and —
     combined with a database fingerprint — a result-cache entry.
     """
-    if isinstance(plan, Complement):
-        child = normalize(plan.child, signature)
-        if isinstance(child, Complement):
-            return child.child
-        return Complement(child)
-    if isinstance(plan, (Union, Intersect)):
-        cls = type(plan)
-        flat: list[Plan] = []
-        for c in plan.children:
-            c = normalize(c, signature)
-            if isinstance(c, cls):
-                flat.extend(c.children)
-            else:
-                flat.append(c)
-        unique = sorted(set(flat), key=_node_key)
-        if len(unique) == 1:
-            return unique[0]
-        return cls(tuple(unique))
-    if isinstance(plan, FilterEq):
-        i, j = sorted((plan.i, plan.j)) if (
-            (plan.i >= 0) == (plan.j >= 0)) else (plan.i, plan.j)
-        return FilterEq(normalize(plan.child, signature), i, j)
-    if isinstance(plan, FilterAtom):
-        return FilterAtom(normalize(plan.child, signature), plan.index,
-                          plan.positions, plan.negate)
-    if isinstance(plan, Project):
-        child = normalize(plan.child, signature)
-        if signature is not None:
-            try:
-                n_child = plan_rank(child, signature)
-            except (RankMismatchError, TypeSignatureError, TypeError):
-                n_child = None
-            if n_child is not None and plan.coords == tuple(range(n_child)):
-                return child
-        return Project(child, plan.coords)
-    if isinstance(plan, Extend):
-        return Extend(normalize(plan.child, signature))
-    if isinstance(plan, Join):
-        return Join(normalize(plan.left, signature),
-                    normalize(plan.right, signature))
-    if isinstance(plan, Quantify):
-        return Quantify(normalize(plan.child, signature), plan.kind)
-    # Leaves and opaque fixpoints are already canonical.
-    return plan
+    return PlanMemo(signature).normalize(plan)
 
 
 def plan_size(plan: Plan) -> int:

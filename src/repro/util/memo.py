@@ -53,6 +53,9 @@ def lru_cached(maxsize: int = 65536) -> Callable[[Callable[..., R]], Callable[..
     :class:`~repro.engine.stats.EngineStats` reports it), an
     ``.evictions`` counter, and a ``.cache_clear()`` resetting all of
     them.  Keyword arguments are supported and keyed order-insensitively.
+    ``.prime(result, *args, **kwargs)`` records ``result`` as the value
+    of a call without making it or counting it — for a caller that
+    knows another call's answer, such as a fixpoint ``f(f(x)) == f(x)``.
 
     The wrapper is **thread-safe**: one re-entrant lock guards the
     cache and its counters, held across the underlying call too, so a
@@ -75,6 +78,8 @@ def lru_cached(maxsize: int = 65536) -> Callable[[Callable[..., R]], Callable[..
         1
         >>> square.cache_clear(); square.misses
         0
+        >>> square.prime(25, 5); square(5), square.misses
+        (25, 0)
 
     Keyword arguments key order-insensitively::
 
@@ -103,12 +108,19 @@ def lru_cached(maxsize: int = 65536) -> Callable[[Callable[..., R]], Callable[..
                 # covered by re-entrancy, and racing threads wait for
                 # one computation instead of duplicating it.
                 result = fn(*args, **kwargs)
-                cache[key] = result
                 wrapper.misses += 1  # type: ignore[attr-defined]
-                if len(cache) > maxsize:
-                    cache.popitem(last=False)
-                    wrapper.evictions += 1  # type: ignore[attr-defined]
+                store(key, result)
                 return result
+
+        def store(key: Hashable, result: R) -> None:
+            cache[key] = result
+            if len(cache) > maxsize:
+                cache.popitem(last=False)
+                wrapper.evictions += 1  # type: ignore[attr-defined]
+
+        def prime(result: R, *args: Hashable, **kwargs: Hashable) -> None:
+            with lock:
+                store(_make_key(args, kwargs), result)
 
         def cache_clear() -> None:
             with lock:
@@ -123,6 +135,7 @@ def lru_cached(maxsize: int = 65536) -> Callable[[Callable[..., R]], Callable[..
         wrapper.misses = 0  # type: ignore[attr-defined]
         wrapper.evictions = 0  # type: ignore[attr-defined]
         wrapper.cache_clear = cache_clear  # type: ignore[attr-defined]
+        wrapper.prime = prime  # type: ignore[attr-defined]
         return wrapper
 
     return decorate

@@ -1,6 +1,16 @@
 """The two-level cache and the upgraded ``lru_cached`` it builds on."""
 
-from repro.engine import EngineCache, PlanCache, ResultCache, Scan, Union
+from repro.engine import (
+    Engine,
+    EngineCache,
+    PlanCache,
+    ResultCache,
+    Scan,
+    Union,
+    plan_from_sentence,
+)
+from repro.logic import parse
+from repro.symmetric import infinite_clique
 from repro.util.memo import lru_cached
 
 
@@ -69,6 +79,18 @@ class TestLruCached:
         f(1)
         assert f.misses == 1
 
+    def test_prime_records_without_counting(self):
+        @lru_cached(maxsize=2)
+        def f(a):
+            raise AssertionError("primed calls are not made")
+
+        f.prime(10, 1)
+        assert f(1) == 10
+        assert (f.hits, f.misses) == (1, 0)
+        f.prime(20, 2)
+        f.prime(30, 3)
+        assert len(f.cache) == 2 and f.evictions == 1
+
 
 class TestPlanCache:
     def test_normalization_memoized(self):
@@ -93,6 +115,46 @@ class TestPlanCache:
         pc.clear()
         assert pc.stats().size == 0
         assert pc.stats().misses == 0
+
+
+def _sentence_plans(engine, *texts):
+    return [plan_from_sentence(parse(t), engine.signature) for t in texts]
+
+
+class TestPlanCacheAccounting:
+    def test_cold_eval_is_one_miss(self):
+        engine = Engine(infinite_clique())
+        plan, = _sentence_plans(engine, "forall x. exists y. R1(x, y)")
+        engine.eval(plan)
+        stats = engine.stats()
+        assert (stats.plan_cache.hits, stats.plan_cache.misses) == (0, 1)
+        assert stats.optimizer.optimizations == 1
+
+    def test_preparing_a_prepared_plan_is_a_hit(self):
+        engine = Engine(infinite_clique())
+        plan, = _sentence_plans(engine, "exists x. not R1(x, x)")
+        prepared = engine.prepare(plan)
+        assert engine.prepare(prepared) is prepared
+        stats = engine.stats()
+        assert (stats.plan_cache.hits, stats.plan_cache.misses) == (1, 1)
+        assert stats.optimizer.optimizations == 1
+
+    def test_unoptimized_prepare_is_idempotent_too(self):
+        engine = Engine(infinite_clique(), optimize=False)
+        plan, = _sentence_plans(engine, "exists x. not R1(x, x)")
+        engine.prepare(engine.prepare(plan))
+        stats = engine.stats().plan_cache
+        assert (stats.hits, stats.misses) == (1, 1)
+
+    def test_batch_optimizes_each_member_once(self):
+        engine = Engine(infinite_clique())
+        plans = _sentence_plans(engine, "exists x. R1(x, x)",
+                                "forall x. exists y. R1(x, y)",
+                                "exists x. forall y. not R1(x, y)")
+        engine.eval_batch(plans)
+        stats = engine.stats()
+        assert stats.plan_cache.misses == 3
+        assert stats.optimizer.optimizations == 3
 
 
 class TestResultCache:
