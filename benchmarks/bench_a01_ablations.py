@@ -75,7 +75,7 @@ class TestNumberEncodingAblation:
     @pytest.mark.parametrize("k", [4, 8])
     def test_a1_diagonal_encoding(self, benchmark, k):
         hs = infinite_clique()
-        it = QLhsInterpreter(hs, fuel=10 ** 9)
+        it = QLhsInterpreter(hs, budget=10 ** 9)
 
         value = benchmark(it.eval_term, constant_term(k), {})
         assert value.rank == k + 1
@@ -86,7 +86,7 @@ class TestNumberEncodingAblation:
         """The naive (E↓↓)↑ᵏ number: the value is the whole level —
         Bell-number many representatives on the clique."""
         hs = infinite_clique()
-        it = QLhsInterpreter(hs, fuel=10 ** 9)
+        it = QLhsInterpreter(hs, budget=10 ** 9)
 
         value = benchmark(it.eval_term, full_term(k), {})
         assert value.rank == k
@@ -94,7 +94,7 @@ class TestNumberEncodingAblation:
 
     def test_a1_size_comparison(self):
         hs = infinite_clique()
-        it = QLhsInterpreter(hs, fuel=10 ** 9)
+        it = QLhsInterpreter(hs, budget=10 ** 9)
         rows = []
         for k in (4, 6, 8):
             diag = len(it.eval_term(constant_term(k), {}))

@@ -26,7 +26,7 @@ def test_e7_compiled_equals_native():
                             (multiplication_machine(), MULT_INPUTS)]:
         native = machine.run(list(inputs))
         compiled = run_compiled(machine, list(inputs),
-                                QLhsInterpreter(hs, fuel=10 ** 9))
+                                QLhsInterpreter(hs, budget=10 ** 9))
         rows.append((machine.name, inputs, "native", native[0],
                      "compiled", compiled[0]))
         assert compiled == native
@@ -43,7 +43,7 @@ def test_e7_compiled_addition(benchmark):
 
     def run():
         return run_compiled(addition_machine(), list(ADD_INPUTS),
-                            QLhsInterpreter(hs, fuel=10 ** 9))
+                            QLhsInterpreter(hs, budget=10 ** 9))
 
     result = benchmark(run)
     assert result[0] == sum(ADD_INPUTS)
@@ -59,7 +59,7 @@ def test_e7_compiled_multiplication(benchmark):
 
     def run():
         return run_compiled(multiplication_machine(), list(MULT_INPUTS),
-                            QLhsInterpreter(hs, fuel=10 ** 9))
+                            QLhsInterpreter(hs, budget=10 ** 9))
 
     result = benchmark(run)
     assert result[0] == MULT_INPUTS[0] * MULT_INPUTS[1]
@@ -69,7 +69,7 @@ def test_e7_value_sizes_stay_bounded():
     """The diagonal number encoding keeps every intermediate value at
     most |T¹| representatives — no Bell-number blow-up."""
     hs = infinite_clique()
-    it = QLhsInterpreter(hs, fuel=10 ** 9)
+    it = QLhsInterpreter(hs, budget=10 ** 9)
     from repro.qlhs import constant_term
     sizes = [len(it.eval_term(constant_term(k), {})) for k in range(8)]
     report("E7 number-value sizes", [("k=0..7", sizes)])

@@ -38,7 +38,7 @@ PROGRAM = parse_program("Y1 := (down(R1) & R2) ; Y2 := down(!R1)")
 @pytest.mark.parametrize("df_size", [4, 8, 16, 32])
 def test_e8_qlf_cost_by_df(benchmark, df_size):
     db = make_db(df_size)
-    it = QLfInterpreter(db, fuel=10 ** 7)
+    it = QLfInterpreter(db, budget=10 ** 7)
 
     store = benchmark(lambda: it.execute(PROGRAM))
     assert store["Y1"].is_finite

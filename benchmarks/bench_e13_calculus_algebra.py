@@ -25,7 +25,7 @@ DEPTHS = {
 
 
 def test_e13_agreement(k3_k2):
-    it = QLhsInterpreter(k3_k2, fuel=10 ** 9)
+    it = QLhsInterpreter(k3_k2, budget=10 ** 9)
     rows = []
     for depth, text in DEPTHS.items():
         f = parse(text)
@@ -47,7 +47,7 @@ def test_e13_calculus_route(benchmark, k3_k2, depth):
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_e13_algebra_route(benchmark, k3_k2, depth):
-    it = QLhsInterpreter(k3_k2, fuel=10 ** 9)
+    it = QLhsInterpreter(k3_k2, budget=10 ** 9)
     f = parse(DEPTHS[depth])
 
     def run():

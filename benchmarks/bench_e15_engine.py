@@ -5,8 +5,8 @@ to isomorphism, so a result cache keyed by structural fingerprint is
 sound — and profitable.  Measured: warm-vs-cold speedup on the Rado
 sentence workload (warm must be ≥5× faster than cold direct
 evaluation), cache hit rates on the 68-class ≅ₗ-classification workload
-routed through one shared cache, and bit-for-bit agreement of the
-parallel batch-membership path with the sequential one.
+routed through one shared cache, and batch membership agreeing with
+the database's own membership test tuple for tuple.
 """
 
 import time
@@ -84,25 +84,20 @@ def test_e15_shared_cache_across_copies(benchmark):
     assert cache.results.hits > 0
 
 
-def test_e15_parallel_batch_bit_for_bit(benchmark):
-    """ThreadPool fan-out returns exactly the sequential answers."""
+def test_e15_batch_membership(benchmark):
+    """A cold batch answers every tuple as ``db.contains`` does."""
     db = rado_hsdb()
     pool = db.domain.first(12)
     tuples = [(x, y) for x in pool for y in pool]
 
-    sequential = Engine(rado_hsdb()).batch_contains(
-        Scan(0), tuples, parallel=False)
+    def cold_batch():
+        return Engine(rado_hsdb()).batch_contains(Scan(0), tuples)
 
-    def parallel_run():
-        return Engine(rado_hsdb()).batch_contains(
-            Scan(0), tuples, parallel=True, max_workers=4)
-
-    parallel = benchmark(parallel_run)
-    assert parallel == sequential
-    assert sequential == [db.contains(0, u) for u in tuples]
-    report("E15 parallel batch membership", [
+    answers = benchmark(cold_batch)
+    assert answers == [db.contains(0, u) for u in tuples]
+    report("E15 batch membership", [
         ("tuples", len(tuples)),
-        ("agreement", "bit-for-bit"),
+        ("agreement", "bit-for-bit with db.contains"),
     ])
 
 

@@ -1,14 +1,14 @@
 """E22 — process sharding beats the GIL on CPU-bound batch work.
 
-Claim: the thread-pool batch path (E18) parallelizes *waiting*, not
-*computing* — every membership test holds the GIL — while the
-process-pool :class:`~repro.engine.shard.ShardExecutor` runs shards on
-real cores.  Measured, on an E15-style Rado membership batch (one open
+Claim: every membership test holds the GIL, so only processes run a
+batch on several cores; the process-pool
+:class:`~repro.engine.shard.ShardExecutor` runs shards on real cores.
+Measured, on an E15-style Rado membership batch (one open
 quantifier-free plan, a ``pool x pool`` probe grid, cold result cache
-per phase): wall time of the sequential path vs the thread pool vs the
-process pool, with bit-for-bit answer agreement asserted between all
-three, plus an ``eval_batch(workers=N)`` verdict-agreement check for
-the ordered-merge path.
+per phase): wall time of the sequential path vs the process pool, with
+bit-for-bit answer agreement asserted between the two, plus a
+``ShardExecutor.eval_batch`` verdict-agreement check for the
+ordered-merge path.
 
 Gate: ≥3x process-pool speedup over sequential with 4 workers (≥2x
 with 2 workers under ``--quick``) — **applied only when the machine
@@ -49,7 +49,7 @@ except ImportError:  # script mode: benchmarks/ is not on sys.path
 PROBE_FORMULA = "R1(x, y) and not R1(y, x)"
 
 #: The E15 Rado sentence workload (bench_e15_engine.py), reused for
-#: the ``eval_batch(workers=N)`` ordered-merge agreement check.
+#: the ``ShardExecutor.eval_batch`` ordered-merge agreement check.
 RADO_WORKLOAD = [
     "forall x. exists y. R1(x, y)",
     "exists x. R1(x, x)",
@@ -79,12 +79,12 @@ def _workload(pool_size: int):
 
 def measure(workers: int = WORKERS,
             pool_size: int = POOL_SIZE) -> dict:
-    """The E22 measurement: sequential vs threads vs processes.
+    """The E22 measurement: sequential vs processes.
 
     Every phase gets a fresh engine over a freshly built database
     (Rado construction is deterministic, so the fingerprints — and
     answers — are identical): the structure oracle's memo and the
-    result cache are both cold, so all three paths pay for the same
+    result cache are both cold, so both paths pay for the same
     work.  The process pool is started and warmed (workers build
     their engines) before its timed phase, matching the serving
     tier's steady state.
@@ -92,13 +92,8 @@ def measure(workers: int = WORKERS,
     db, plan, tuples = _workload(pool_size)
 
     t0 = time.perf_counter()
-    sequential = Engine(db).batch_contains(plan, tuples, parallel=False)
+    sequential = Engine(db).batch_contains(plan, tuples)
     seq_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    threaded = Engine(rado_hsdb()).batch_contains(
-        plan, tuples, parallel=True, max_workers=workers)
-    thr_s = time.perf_counter() - t0
 
     with ShardExecutor(workers) as executor:
         executor.batch_contains(Engine(rado_hsdb()), plan,
@@ -108,7 +103,6 @@ def measure(workers: int = WORKERS,
         sharded = executor.batch_contains(engine, plan, tuples)
         shard_s = time.perf_counter() - t0
 
-        assert threaded == sequential, "thread pool changed an answer"
         assert sharded == sequential, "process pool changed an answer"
 
         # The ordered-merge eval path agrees too (same executor, so
@@ -131,9 +125,7 @@ def measure(workers: int = WORKERS,
         "cpus": cpus,
         "tuples": len(tuples),
         "sequential": {"seconds": seq_s},
-        "threaded": {"seconds": thr_s},
         "sharded": {"seconds": shard_s},
-        "thread_speedup": seq_s / max(thr_s, 1e-9),
         "process_speedup": seq_s / max(shard_s, 1e-9),
         "eval_verdicts": seq_verdicts,
         "gate_applicable": cpus >= workers,
@@ -141,13 +133,11 @@ def measure(workers: int = WORKERS,
 
 
 def _report(data: dict) -> None:
-    report("E22 process-sharded batch vs GIL-bound paths (Rado probes)", [
+    report("E22 process-sharded batch vs sequential (Rado probes)", [
         ("tuples", data["tuples"],
          f"{data['workers']} workers on {data['cpus']} cores"),
         ("sequential", f"{data['sequential']['seconds'] * 1e3:.1f} ms",
          ""),
-        ("thread pool", f"{data['threaded']['seconds'] * 1e3:.1f} ms",
-         f"{data['thread_speedup']:.2f}x"),
         ("process pool", f"{data['sharded']['seconds'] * 1e3:.1f} ms",
          f"{data['process_speedup']:.2f}x"),
         ("gate", "applies" if data["gate_applicable"]
@@ -156,8 +146,8 @@ def _report(data: dict) -> None:
 
 
 def test_e22_shard_agreement_and_speedup():
-    """All three batch paths agree bit for bit; the process pool beats
-    the ≥2x two-worker gate when two cores exist to run it on."""
+    """Both batch paths agree bit for bit; the process pool beats the
+    ≥2x two-worker gate when two cores exist to run it on."""
     data = measure(QUICK_WORKERS, QUICK_POOL_SIZE)
     _report(data)
     # measure() asserted the bit-for-bit agreements internally.

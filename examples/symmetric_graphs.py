@@ -46,7 +46,7 @@ def main() -> None:
     print("   two rounds of neighbourhood refinement can)")
 
     print("\nQLhs programs on representatives:")
-    it = QLhsInterpreter(cu, fuel=10_000_000)
+    it = QLhsInterpreter(cu, budget=10_000_000)
     for text in ["Y1 := R1",
                  "Y1 := down(R1)",
                  "Y1 := R1 & swap(R1)",
@@ -59,7 +59,7 @@ def main() -> None:
 
     print("\nA counter machine compiled into core QLhs (Theorem 3.1):")
     result = run_compiled(multiplication_machine(), [3, 4],
-                          QLhsInterpreter(cu, fuel=100_000_000))
+                          QLhsInterpreter(cu, budget=100_000_000))
     print("  3 * 4 computed by ranks:", result[0])
 
 

@@ -39,7 +39,7 @@ Subpackages
 ``repro.engine``
     The unified query-evaluation engine: a plan IR all four frontends
     (L⁻/FO, QLhs, QLf+, GMhs) lower into, fingerprint-keyed two-level
-    caching, batched/parallel membership execution, and
+    caching, batched membership execution, and
     ``EngineStats`` metering.
 """
 

@@ -9,9 +9,10 @@ equivalences into a continuously checkable property:
   (finite/co-finite specs, built-in highly symmetric structures) and
   well-typed random queries in every frontend syntax;
 * :mod:`repro.check.oracles` — the differential oracle (all applicable
-  frontends must agree modulo ``UNKNOWN``) and five metamorphic
-  oracles (permutation genericity, cache consistency, parallel batch
-  determinism, budget monotonicity, rewrite invariance);
+  frontends must agree modulo ``UNKNOWN``) and the metamorphic
+  oracles (permutation genericity, cache consistency, budget
+  monotonicity, rewrite invariance, optimizer and process-pool
+  agreement);
 * :mod:`repro.check.shrink` — a greedy delta-debugging shrinker that
   minimizes a failing (database, query) pair and emits a standalone
   reproducer script;

@@ -25,8 +25,6 @@ The oracles:
 ``cache``
     Cold engine == warm engine == fresh-cache engine — the
     fingerprint-keyed cache may never change an answer.
-``parallel``
-    ``batch_contains(parallel=True)`` == sequential, bit for bit.
 ``budget``
     Budget monotonicity: more fuel never flips TRUE↔FALSE, and an
     answer known under a small budget stays known under a larger one.
@@ -40,7 +38,7 @@ The oracles:
     agree bit for bit: same verdict, same canonical value, same probe
     memberships.
 ``shard``
-    Sequential == thread-pool == process-pool: the
+    Sequential == process-pool: the
     :class:`~repro.engine.shard.ShardExecutor` ships the case's
     database spec and plan to worker processes, and the merged
     verdict/answers must agree with the in-process paths modulo
@@ -399,34 +397,6 @@ def cache(ctx: CaseContext) -> OracleOutcome:
     return OracleOutcome("cache", OK)
 
 
-def parallel(ctx: CaseContext) -> OracleOutcome:
-    """Parallel batch membership must equal sequential, bit for bit."""
-    case = ctx.case
-    if not case.probes:
-        return OracleOutcome("parallel", SKIP, "no probe tuples")
-    plan = _primary_plan(ctx)
-    if plan is None:
-        return OracleOutcome("parallel", SKIP, "no engine plan")
-    engine = _engine_for_plan(ctx)
-    try:
-        sequential = engine.batch_contains(plan, case.probes,
-                                           parallel=False)
-        fanned = engine.batch_contains(plan, case.probes, parallel=True,
-                                       max_workers=4)
-    except OutOfFuel:
-        return OracleOutcome("parallel", UNKNOWN, "budget tripped")
-    except RepresentationError:
-        return OracleOutcome("parallel", UNKNOWN, UNREPRESENTABLE)
-    if sequential != fanned:
-        diffs = [u for u, a, b in zip(case.probes, sequential, fanned)
-                 if a != b]
-        return OracleOutcome(
-            "parallel", FAIL,
-            f"parallel differs from sequential on {diffs!r} for "
-            f"{case.describe()}")
-    return OracleOutcome("parallel", OK)
-
-
 def budget(ctx: CaseContext) -> OracleOutcome:
     """Budget monotonicity: more fuel never flips TRUE↔FALSE."""
     plan = _primary_plan(ctx)
@@ -582,9 +552,8 @@ def _shard_executor():
 def shard(ctx: CaseContext) -> OracleOutcome:
     """Process-pool execution must agree with in-process, bit for bit.
 
-    Three routes answer the case's primary plan: the sequential
-    engine, the thread-pool membership path (``parallel=True``), and
-    the process-pool sharded executor; verdicts compare modulo
+    Two routes answer the case's primary plan: the sequential engine
+    and the process-pool sharded executor; verdicts compare modulo
     ``UNKNOWN`` and probe memberships bit for bit.  Skips when no
     shippable spec exists and when the plan cannot serialize —
     exactly the fallbacks ``docs/sharding.md`` documents.
@@ -619,10 +588,7 @@ def shard(ctx: CaseContext) -> OracleOutcome:
 
     if case.probes:
         try:
-            seq_members = engine.batch_contains(plan, case.probes,
-                                                parallel=False)
-            threaded = engine.batch_contains(plan, case.probes,
-                                             parallel=True, max_workers=4)
+            seq_members = engine.batch_contains(plan, case.probes)
             fresh = Engine(engine.db, budget=ctx.budget(),
                            optimize=engine.optimize,
                            compiled=engine.compiled)
@@ -634,15 +600,13 @@ def shard(ctx: CaseContext) -> OracleOutcome:
             status = (SKIP if isinstance(exc, UnserializablePlanError)
                       else UNKNOWN)
             return OracleOutcome("shard", status, type(exc).__name__)
-        for name, members in (("thread pool", threaded),
-                              ("process pool", sharded_members)):
-            if members != seq_members:
-                diffs = [u for u, a, b in zip(case.probes, seq_members,
-                                              members) if a != b]
-                return OracleOutcome(
-                    "shard", FAIL,
-                    f"{name} membership differs from sequential on "
-                    f"{diffs!r} for {case.describe()}")
+        if sharded_members != seq_members:
+            diffs = [u for u, a, b in zip(case.probes, seq_members,
+                                          sharded_members) if a != b]
+            return OracleOutcome(
+                "shard", FAIL,
+                f"process pool membership differs from sequential on "
+                f"{diffs!r} for {case.describe()}")
 
     if sequential.is_unknown and sharded.is_unknown:
         return OracleOutcome("shard", UNKNOWN, "both routes abstained")
@@ -693,7 +657,6 @@ ORACLES = {
     "differential": differential,
     "permutation": permutation,
     "cache": cache,
-    "parallel": parallel,
     "budget": budget,
     "rewrites": rewrites,
     "optimizer": optimizer,
@@ -704,12 +667,12 @@ ORACLES = {
 ORACLES_BY_KIND = {
     "fo-hs": ("differential", "cache", "budget", "rewrites", "optimizer",
               "shard"),
-    "fo-open-hs": ("differential", "parallel", "cache", "rewrites",
-                   "optimizer", "shard"),
+    "fo-open-hs": ("differential", "cache", "rewrites", "optimizer",
+                   "shard"),
     "fo-fcf": ("differential", "permutation", "cache", "rewrites",
                "optimizer", "shard"),
-    "term-fcf": ("differential", "permutation", "parallel", "budget",
-                 "rewrites", "optimizer", "shard"),
+    "term-fcf": ("differential", "permutation", "budget", "rewrites",
+                 "optimizer", "shard"),
     "program-fcf": ("differential", "permutation", "budget", "optimizer",
                     "shard"),
 }

@@ -280,10 +280,9 @@ def hammer_engine(seed: int, threads: int = DEFAULT_THREADS,
     per-context budget path); the other half each construct their own
     engine over an independently built, fingerprint-equal Rado copy
     backed by the same cache (the serving-tier shape).  Every worker
-    interleaves warm sentence evaluations with ``batch_contains``
-    (alternating the parallel and sequential paths) and compares each
-    answer bit for bit against a sequential reference computed
-    up front on a private engine.
+    interleaves warm sentence evaluations with ``batch_contains`` and
+    compares each answer bit for bit against a sequential reference
+    computed up front on a private engine.
     """
     reference_engine = Engine(rado_hsdb())
     plans = [plan_from_sentence(parse(s), reference_engine.signature)
@@ -307,9 +306,7 @@ def hammer_engine(seed: int, threads: int = DEFAULT_THREADS,
             if engine.holds(plans[idx]) != expected[idx]:
                 mismatches[i] += 1
             if r % 16 == 0:
-                answers = engine.batch_contains(
-                    Scan(0), tuples, parallel=(i % 4 == 1),
-                    max_workers=2)
+                answers = engine.batch_contains(Scan(0), tuples)
                 if answers != expected_members:
                     mismatches[i] += 1
 

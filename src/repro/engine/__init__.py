@@ -18,9 +18,9 @@ GMhs), built from:
   :meth:`Engine.prepare`;
 * :mod:`repro.engine.compile` — the compiled-closure execution
   backend, on by default for cold evaluations;
-* :mod:`repro.engine.executor` — :class:`Engine`: cached evaluation,
-  batched membership with an optional parallel path, metered end to
-  end and governed by a :class:`~repro.trace.Budget`;
+* :mod:`repro.engine.executor` — :class:`Engine`: cached, sequential,
+  thread-safe evaluation and batched membership, metered end to end
+  and governed by a :class:`~repro.trace.Budget`;
 * :mod:`repro.engine.verdict` — :class:`Verdict`, the three-valued
   answer type of :meth:`Engine.eval`: divergence (a tripped budget)
   becomes ``UNKNOWN`` with a machine-readable reason instead of a
@@ -32,9 +32,8 @@ GMhs), built from:
   (:class:`ShardExecutor` / the shared :class:`WorkerPool`): batch
   work partitioned by fingerprint shard across worker processes, with
   ordered merge and exact budget/stats/span re-aggregation at the
-  join (``docs/sharding.md``); reached through
-  ``Engine.eval_batch(workers=N)`` /
-  ``Engine.batch_contains(workers=N)``.
+  join (``docs/sharding.md``); the one parallel batch path, reached
+  as ``ShardExecutor(N).eval_batch(engine, plans)``.
 
 Quick use::
 

@@ -1,4 +1,4 @@
-"""The engine executor: cached, batched, optionally parallel evaluation.
+"""The engine executor: cached, batched, sequential evaluation.
 
 :class:`Engine` wraps one database (an hs-r-db or an fcf-r-db) and
 evaluates plan-IR trees against it:
@@ -19,11 +19,7 @@ evaluates plan-IR trees against it:
   (the *Complete Approximations* motivation — many related queries, one
   database) pay for the shared work once;
 * ``batch_contains`` answers many membership questions in one pass over
-  one evaluated plan, with an optional :class:`~concurrent.futures.
-  ThreadPoolExecutor` path for the embarrassingly parallel per-tuple
-  tests and a deterministic sequential fallback producing bit-for-bit
-  identical answers (the parallel path preserves request order via
-  ``Executor.map``);
+  one evaluated plan, in request order;
 * all work is metered in :class:`~repro.engine.stats.EngineStats`:
   oracle (``≅_B``) questions, cache traffic, per-node timings, wall
   time, and three-valued verdict counts;
@@ -48,10 +44,9 @@ flight lives in a :class:`~contextvars.ContextVar` (not instance
 state), so two threads evaluating through one engine never cross their
 step budgets or deadlines; per-node timing bookkeeping is thread-local;
 the caches, stats tables, and :class:`~repro.trace.Budget` charging are
-individually thread-safe.  The parallel batch path propagates both the
-active budget and the enclosing trace span into its pool workers, so
-``--trace`` trees keep their ``engine.batch_contains`` parent and a
-:meth:`Engine.cancel` from any thread interrupts a batch mid-flight.
+individually thread-safe.  The engine itself never fans out: batch
+work runs in parallel only across processes, through
+:class:`~repro.engine.shard.ShardExecutor`.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 
 from ..errors import (
@@ -75,7 +69,6 @@ from ..qlhs.interpreter import QLhsInterpreter, Value
 from ..symmetric.hsdb import HSDatabase
 from ..trace import Budget, limits, span
 from ..trace.budget import as_budget
-from ..trace.spans import current_span, under_span
 from .cache import EngineCache, ResultCache
 from .compile import compile_plan
 from .fingerprint import fingerprint
@@ -146,11 +139,6 @@ class Engine:
         the full per-evaluation step allowance while sharing the
         deadline and the cancellation flag.  Default:
         :data:`repro.trace.limits.ENGINE` steps, no deadline.
-    fuel:
-        Deprecated alias: ``fuel=N`` means ``budget=Budget(max_steps=N)``.
-    max_workers:
-        Default thread count for the parallel batch path (``None``
-        delegates to :class:`ThreadPoolExecutor`'s default).
     optimize:
         Run the :mod:`repro.engine.optimize` rewrite rules during plan
         preparation (default on; only applies to hs engines).
@@ -166,8 +154,6 @@ class Engine:
     def __init__(self, db: HSDatabase | FcfDatabase, *,
                  cache: EngineCache | None = None,
                  budget: Budget | int | None = None,
-                 fuel: int | None = None,
-                 max_workers: int | None = None,
                  optimize: bool = True,
                  compiled: bool = True):
         if not isinstance(db, (HSDatabase, FcfDatabase)):
@@ -176,27 +162,19 @@ class Engine:
                 f"{type(db).__name__}")
         self.db = db
         self.cache = cache if cache is not None else EngineCache()
-        self.budget = as_budget(budget, fuel, default_steps=limits.ENGINE)
-        self.max_workers = max_workers
+        self.budget = as_budget(budget, default_steps=limits.ENGINE)
         self.optimize = optimize
         self.compiled = compiled
         self.fingerprint = fingerprint(db)
         self._stats = MutableEngineStats()
         self._compiled_memo: dict = {}
         self._compiled_lock = threading.Lock()
-        self._shard_pools: dict = {}
-        self._shard_lock = threading.Lock()
         # Exclusive-time bookkeeping for per-node timings, kept
         # per-thread so concurrent evaluations through one shared
         # engine never corrupt each other's stacks.
         self._timing = threading.local()
 
     # -- properties ---------------------------------------------------------
-
-    @property
-    def fuel(self) -> int | None:
-        """Deprecated alias for ``budget.max_steps``."""
-        return self.budget.max_steps
 
     @property
     def is_hs(self) -> bool:
@@ -297,32 +275,22 @@ class Engine:
             sp.set(verdict=verdict.status)
             return verdict
 
-    def eval_batch(self, plans: Sequence[Plan], *,
-                   workers: int | None = None) -> list[Verdict]:
+    def eval_batch(self, plans: Sequence[Plan]) -> list[Verdict]:
         """:meth:`eval` several plans; one diverging member cannot
         starve the rest.
 
         Each member runs under its own :meth:`~repro.trace.Budget.fork`
         of the engine budget (fresh step counter, shared deadline and
         cancellation flag), so a member that trips its step budget
-        yields ``UNKNOWN`` while the others still complete.
-
-        ``workers=N`` (N > 1) ships the batch across a process pool
-        (:class:`~repro.engine.shard.ShardExecutor`) — same verdicts,
-        same request order, multiple cores.  Databases with no
-        shippable spec fall back to this in-process path, and members
-        whose plans cannot serialize
-        (:class:`~repro.engine.plan.MachineFixpoint`) are evaluated
-        locally while their batch-mates fan out; see
-        ``docs/sharding.md``.
+        yields ``UNKNOWN`` while the others still complete.  The
+        members' common subplans are pinned as compiled-path
+        boundaries, so work the batch shares is computed once.  To run
+        a batch on several cores, use
+        :meth:`ShardExecutor.eval_batch
+        <repro.engine.shard.ShardExecutor.eval_batch>`
+        (``docs/sharding.md``).
         """
         plans = list(plans)
-        if workers is not None and workers > 1 and len(plans) > 1:
-            from .shard import UnshardableDatabaseError
-            try:
-                return self._shards(workers).eval_batch(self, plans)
-            except UnshardableDatabaseError:
-                pass  # no shippable spec: evaluate in-process below
         with span("engine.eval_batch", size=len(plans)):
             prepared = [self.prepare(p) for p in plans]
             token = _BATCH_SHARED.set(common_subplans(prepared))
@@ -346,25 +314,17 @@ class Engine:
         """One membership test: is ``u`` in the plan's relation?"""
         return self.batch_contains(plan, [tuple(u)])[0]
 
-    def batch_contains(self, plan: Plan, tuples: Iterable[Sequence],
-                       parallel: bool = False,
-                       max_workers: int | None = None, *,
-                       workers: int | None = None,
+    def batch_contains(self, plan: Plan, tuples: Iterable[Sequence], *,
                        budget: Budget | None = None) -> list[bool]:
         """Answer many membership questions against one plan, in order.
 
         The plan is evaluated once (warm: a cache probe); each tuple
-        then gets an independent test — canonicalize, probe the result —
-        which is embarrassingly parallel.  ``parallel=True`` fans the
-        *uncached* tests out over a thread pool; answers are reassembled
-        in request order, so the two paths agree bit for bit (the E15
-        benchmark asserts it).  Per-tuple answers are result-cached
-        under ``(fingerprint, plan, ("contains", u))``.
+        then gets an independent test — canonicalize, probe the
+        result.  Per-tuple answers are result-cached under
+        ``(fingerprint, plan, ("contains", u))``.
 
         The whole batch runs under one :meth:`~repro.trace.Budget.fork`
-        of the engine budget, *shared* by every pool worker (the fork's
-        charging is atomic, so the workers cannot jointly overrun it),
-        and the budget is checked before every membership test — a
+        of the engine budget, checked before every membership test — a
         :meth:`cancel` from another thread or an expired deadline
         interrupts the batch mid-flight with
         :class:`~repro.errors.OutOfFuel` (reason ``cancelled`` /
@@ -372,33 +332,16 @@ class Engine:
         ``budget`` substitutes an explicit batch budget for that fork
         (used directly, not forked — the sharded executor's workers
         govern their slice of a shipped batch with it).
-
-        ``workers=N`` (N > 1) shards the uncached tests across a
-        process pool instead of threads — genuine multi-core
-        parallelism with bit-for-bit the same answers, written back
-        into the same result-cache keys.  Unshardable databases and
-        unserializable plans fall back to the in-process paths below
-        (``docs/sharding.md``).
         """
         requests = [tuple(u) for u in tuples]
-        if workers is not None and workers > 1 and len(requests) > 1:
-            from ..store.codec import UnserializablePlanError
-            from .shard import UnshardableDatabaseError
-            try:
-                return self._shards(workers).batch_contains(
-                    self, plan, requests, budget=budget)
-            except (UnshardableDatabaseError, UnserializablePlanError):
-                pass  # fall through to the in-process paths
         run = budget if budget is not None else self.budget.fork()
         token = _ACTIVE_BUDGET.set(run)
         try:
-            return self._batch_contains(plan, requests, parallel,
-                                        max_workers, run)
+            return self._batch_contains(plan, requests, run)
         finally:
             _ACTIVE_BUDGET.reset(token)
 
     def _batch_contains(self, plan: Plan, requests: list[tuple],
-                        parallel: bool, max_workers: int | None,
                         run: Budget) -> list[bool]:
         """The :meth:`batch_contains` body (active budget installed)."""
         with span("engine.batch_contains",
@@ -407,72 +350,25 @@ class Engine:
             prepared = self.prepare(plan)
             value = self._arg(prepared)
 
-            answers: list[bool | None] = [None] * len(requests)
-            pending: list[int] = []
+            answers: list[bool] = []
             results_cache = self.cache.results
             missing = object()
-            for pos, u in enumerate(requests):
+            for u in requests:
                 key = ResultCache.key(self.fingerprint, prepared,
                                       ("contains", u))
-                hit = results_cache.get(key, missing)
-                if hit is missing:
-                    pending.append(pos)
-                else:
-                    answers[pos] = hit
-
-            if parallel and len(pending) > 1:
-                # Capture the enclosing span and the batch budget for
-                # the workers: pool threads start fresh span stacks and
-                # empty budget contexts, so without explicit
-                # propagation their spans would surface as orphan roots
-                # and their work would escape the batch budget.
-                parent = current_span()  # no-op span when not recording
-
-                def member_task(pos: int) -> bool:
-                    worker_token = _ACTIVE_BUDGET.set(run)
-                    try:
-                        with under_span(parent):
-                            with span("engine.member"):
-                                run.check()
-                                return self._member(value, requests[pos])
-                    finally:
-                        _ACTIVE_BUDGET.reset(worker_token)
-
-                workers = max_workers or self.max_workers
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    computed = list(pool.map(member_task, pending))
-            else:
-                computed = []
-                for pos in pending:
+                answer = results_cache.get(key, missing)
+                if answer is missing:
                     run.check()
-                    computed.append(self._member(value, requests[pos]))
-
-            for pos, answer in zip(pending, computed):
-                key = ResultCache.key(self.fingerprint, prepared,
-                                      ("contains", requests[pos]))
-                results_cache.put(key, answer)
-                answers[pos] = answer
+                    answer = self._member(value, u)
+                    results_cache.put(key, answer)
+                answers.append(answer)
 
             asked = self._oracle_calls() - before
             self._stats.add(oracle_questions=asked,
                             batch_requests=len(requests))
             sp.count("oracle_questions", asked)
         self._stats.add(wall_time=t.seconds)
-        return answers  # type: ignore[return-value]
-
-    def batch_evaluate(self, plans: Sequence[Plan]) -> list:
-        """Evaluate several plans (shared sub-plans are computed once).
-
-        Like :meth:`eval_batch`, the members' common subplans are
-        pinned as compiled-path boundaries so the sharing survives
-        closure fusion.
-        """
-        prepared = [self.prepare(p) for p in plans]
-        token = _BATCH_SHARED.set(common_subplans(prepared))
-        try:
-            return [self.evaluate(p) for p in prepared]
-        finally:
-            _BATCH_SHARED.reset(token)
+        return answers
 
     # -- stats --------------------------------------------------------------
 
@@ -496,33 +392,6 @@ class Engine:
     def reset_stats(self) -> None:
         """Zero the engine's live counters (caches keep their contents)."""
         self._stats.reset()
-
-    # -- process pools -------------------------------------------------------
-
-    def _shards(self, workers: int):
-        """The memoized :class:`~repro.engine.shard.ShardExecutor` for
-        one worker count (pools are expensive; reuse keeps worker
-        caches warm across batches)."""
-        from .shard import ShardExecutor
-        with self._shard_lock:
-            executor = self._shard_pools.get(workers)
-            if executor is None:
-                executor = ShardExecutor(workers)
-                self._shard_pools[workers] = executor
-            return executor
-
-    def close(self) -> None:
-        """Release any worker-process pools this engine started.
-
-        Idempotent and safe on engines that never sharded (a no-op
-        then); the engine itself stays usable — a later ``workers=N``
-        call simply starts a fresh pool.
-        """
-        with self._shard_lock:
-            pools = list(self._shard_pools.values())
-            self._shard_pools = {}
-        for executor in pools:
-            executor.close()
 
     # -- internals ----------------------------------------------------------
 

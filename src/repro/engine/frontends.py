@@ -295,19 +295,17 @@ def procedure_from_formula(formula: Formula,
 # Frontend 4: GMhs query procedures.
 # ---------------------------------------------------------------------------
 
-def plan_from_gmhs(procedure, search_window: int = 512,
-                   fuel: int | None = None, *,
+def plan_from_gmhs(procedure, search_window: int = 512, *,
                    max_steps: int | None = None) -> Plan:
     """Lower a Theorem 5.1 query procedure into the IR.
 
     The procedure is the same :data:`~repro.qlhs.completeness.
     QueryProcedure` convention both completeness pipelines consume.
     ``max_steps`` caps the GMhs loading stage (default
-    :data:`repro.trace.limits.MACHINE_FIXPOINT`); ``fuel`` is its
-    deprecated alias.
+    :data:`repro.trace.limits.MACHINE_FIXPOINT`).
     """
     if max_steps is None:
-        max_steps = fuel if fuel is not None else limits.MACHINE_FIXPOINT
+        max_steps = limits.MACHINE_FIXPOINT
     return MachineFixpoint(procedure, search_window=search_window,
                            max_steps=max_steps)
 

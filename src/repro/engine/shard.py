@@ -1,14 +1,14 @@
 """Multi-process sharded execution: beating the GIL on batch work.
 
-The engine's thread-pool batch path (:meth:`Engine.batch_contains
-<repro.engine.executor.Engine.batch_contains>` with ``parallel=True``)
-parallelizes *waiting*, not *computing*: every membership test holds
-the GIL while it canonicalizes paths, so on real hardware a CPU-bound
-batch runs on one core.  This module adds the process-pool backend —
-the architecture is the paper's own completeness argument turned into
-systems leverage: the four frontends provably compute one semantics,
-results are keyed by structural database *fingerprint* (genericity,
-Definition 2.4), and plans have a content-hash identity
+Every membership test and every fixpoint iteration is CPU work that
+holds the GIL (a run of ``≅_B`` oracle questions, Definition 2.4), so
+threads cannot run a batch on more than one core; the
+:class:`~repro.engine.executor.Engine` is sequential, and this module
+is the one code path that runs a batch in parallel — across
+processes.  The architecture is the paper's own completeness argument
+turned into systems leverage: the four frontends provably compute one
+semantics, results are keyed by structural database *fingerprint*
+(genericity, Definition 2.4), and plans have a content-hash identity
 (:mod:`repro.store.codec`) — so work can be shipped to another process
 and the answers merged back with bit-for-bit confidence, checkable by
 the existing differential oracles.
@@ -38,19 +38,17 @@ Architecture (``docs/sharding.md``):
   :meth:`MutableEngineStats.absorb
   <repro.engine.stats.MutableEngineStats.absorb>`, and worker spans
   are re-parented under the coordinator's span via
-  :func:`~repro.trace.spans.replay_records` — the cross-process
-  extension of the PR 4 ``propagate_span`` contract.
-* **Fallbacks** — ``workers <= 1`` and databases without a shippable
-  spec run in-process; a plan that cannot serialize
-  (:class:`~repro.store.codec.UnserializablePlanError`, i.e.
+  :func:`~repro.trace.spans.replay_records`.
+* **Fallbacks** — ``workers <= 1`` runs in-process; a plan that cannot
+  serialize (:class:`~repro.store.codec.UnserializablePlanError`, i.e.
   :class:`~repro.engine.plan.MachineFixpoint`) is evaluated locally
-  while its batch-mates still fan out.
+  while its batch-mates still fan out.  Either way each local member
+  runs under the same budget a worker would give it.
 
-Entry points: :meth:`Engine.eval_batch(workers=N)
-<repro.engine.executor.Engine.eval_batch>` /
-:meth:`Engine.batch_contains(workers=N)
-<repro.engine.executor.Engine.batch_contains>`, ``python -m repro
-check --workers N``, and the serving tier's ``[server] workers`` knob.
+Entry points: ``ShardExecutor(N).eval_batch(engine, plans)`` /
+``ShardExecutor(N).batch_contains(engine, plan, tuples)``,
+``python -m repro check --workers N``, and the serving tier's
+``[server] workers`` knob.
 :class:`WorkerPool` is the shared pool/shipping substrate
 (:mod:`repro.store.ingest` fans out over it too).
 """
@@ -94,8 +92,8 @@ class UnshardableDatabaseError(TypeSignatureError):
     Raised by :func:`derive_spec` when a live database is neither a
     known builtin nor an fcf-r-db; callers with a declarative spec
     (the serving catalog, the ingest pipeline) pass ``spec=``
-    explicitly instead.  The engine entry points catch this and fall
-    back to in-process execution.
+    explicitly instead, or evaluate in-process with
+    :meth:`Engine.eval_batch <repro.engine.executor.Engine.eval_batch>`.
     """
 
 
@@ -462,16 +460,19 @@ class ShardExecutor:
         **in request order**.  Members whose plans cannot serialize
         (:class:`~repro.engine.plan.MachineFixpoint`) are evaluated
         in-process while the shards run — the fallback costs only that
-        member's parallelism, never the batch's.
+        member's parallelism, never the batch's.  When fewer than two
+        members can ship, the whole batch evaluates in-process.
 
         ``member_budgets`` (one coordinator :class:`Budget` per plan,
         the serving tier's per-member tenant forks) receives each
         member's consumed steps/oracle calls via
         :meth:`~repro.trace.Budget.absorb`, so quota accounting is
-        exact across the process boundary.
+        exact across the process boundary.  A member evaluated
+        in-process runs under its ``member_budgets`` slot directly, or
+        else under a fork of the template, as a worker would run it.
 
         Raises :class:`UnshardableDatabaseError` when no spec can be
-        derived (callers fall back to sequential evaluation) and
+        derived (pass ``spec=``, or evaluate in-process) and
         :class:`ShardTaskError` when a worker fails outright.
         """
         from ..store.codec import (
@@ -486,6 +487,11 @@ class ShardExecutor:
         spec = spec if spec is not None else derive_spec(engine.db)
         template = budget if budget is not None else engine.budget
 
+        def run_local(pos: int):
+            member = (member_budgets[pos] if member_budgets is not None
+                      else template.fork())
+            return engine.eval(plans[pos], budget=member)
+
         texts: list[str | None] = []
         local: list[int] = []
         for pos, plan in enumerate(plans):
@@ -498,7 +504,7 @@ class ShardExecutor:
                      if texts[pos] is not None]
         nshards = min(self.workers, len(shardable))
         if nshards <= 1:
-            return engine.eval_batch(plans)
+            return [run_local(pos) for pos in range(len(plans))]
 
         shards: dict[int, list[int]] = {}
         for pos in shardable:
@@ -521,7 +527,7 @@ class ShardExecutor:
                                    self.pool.submit(_worker_main, task)))
             # Unserializable members evaluate here while workers run.
             for pos in local:
-                results[pos] = engine.eval(plans[pos])
+                results[pos] = run_local(pos)
             failed: dict | None = None
             for positions, shard_budget, future in dispatched:
                 payload = self._join(future)
@@ -557,7 +563,8 @@ class ShardExecutor:
                        budget: Budget | None = None) -> list:
         """Answer many membership questions across the worker pool.
 
-        The process-pool twin of the engine's thread path: the
+        The process-pool twin of :meth:`Engine.batch_contains
+        <repro.engine.executor.Engine.batch_contains>`: the
         coordinator probes its result cache first (warm answers never
         ship), partitions the misses by :func:`shard_index` over
         ``(plan text, tuple)``, and each worker evaluates the plan once
@@ -571,8 +578,8 @@ class ShardExecutor:
         budget); every shard runs under its own worker-side fork of it
         and the consumed counters are re-aggregated exactly at the
         join.  Raises :class:`UnshardableDatabaseError` /
-        :class:`~repro.store.codec.UnserializablePlanError` for the
-        callers' in-process fallback.
+        :class:`~repro.store.codec.UnserializablePlanError` when the
+        database or the plan cannot ship.
         """
         from ..store.codec import canonical_plan_text
         from .cache import ResultCache

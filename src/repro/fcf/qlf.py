@@ -62,17 +62,11 @@ class WhileFinite(Program):
 class QLfInterpreter:
     """Execute QLf+ programs against an fcf-r-db."""
 
-    def __init__(self, database: FcfDatabase, fuel: int | None = None, *,
+    def __init__(self, database: FcfDatabase, *,
                  budget: Budget | int | None = None):
         self.database = database
         self.df = sorted(database.df, key=repr)
-        self.budget = as_budget(budget, fuel,
-                                default_steps=limits.QLF_INTERPRETER)
-
-    @property
-    def fuel(self) -> int | None:
-        """Deprecated alias for ``budget.max_steps``."""
-        return self.budget.max_steps
+        self.budget = as_budget(budget, default_steps=limits.QLF_INTERPRETER)
 
     @property
     def steps(self) -> int:

@@ -53,21 +53,15 @@ from .algebra import FiniteValue
 class QLInterpreter:
     """Execute QL programs against a finite-domain database."""
 
-    def __init__(self, database: RecursiveDatabase, fuel: int | None = None,
-                 *, budget: Budget | int | None = None):
+    def __init__(self, database: RecursiveDatabase, *,
+                 budget: Budget | int | None = None):
         if not database.domain.is_finite:
             raise TypeSignatureError(
                 "QL interprets over finite databases; for infinite "
                 "hs-r-dbs use QLhsInterpreter")
         self.database = database
         self.domain = database.domain.first(database.domain.finite_size)
-        self.budget = as_budget(budget, fuel,
-                                default_steps=limits.QL_INTERPRETER)
-
-    @property
-    def fuel(self) -> int | None:
-        """Deprecated alias for ``budget.max_steps``."""
-        return self.budget.max_steps
+        self.budget = as_budget(budget, default_steps=limits.QL_INTERPRETER)
 
     @property
     def steps(self) -> int:

@@ -86,16 +86,15 @@ class CounterMachine:
             if isinstance(ins, Jmp) and not 0 <= ins.target < n:
                 raise MachineError(f"instruction {pc}: jump target out of range")
 
-    def run(self, inputs: Sequence[int], fuel: int | None = None, *,
+    def run(self, inputs: Sequence[int], *,
             budget: Budget | int | None = None) -> list[int]:
         """Execute; ``inputs`` seed the first registers; returns all
         registers at the halt instruction.
 
-        One budget step is one executed instruction; ``fuel=N`` is the
-        deprecated alias for ``budget=Budget(max_steps=N)`` (default
+        One budget step is one executed instruction (default
         :data:`repro.trace.limits.COUNTER_RUN`).
         """
-        budget = as_budget(budget, fuel, default_steps=limits.COUNTER_RUN)
+        budget = as_budget(budget, default_steps=limits.COUNTER_RUN)
         regs = [0] * self.num_registers
         for i, v in enumerate(inputs):
             if v < 0:
@@ -125,14 +124,14 @@ class CounterMachine:
                 if pc >= len(self.instructions):
                     raise MachineError(f"{self.name}: fell off the program")
 
-    def trace(self, inputs: Sequence[int], fuel: int | None = None, *,
+    def trace(self, inputs: Sequence[int], *,
               budget: Budget | int | None = None
               ) -> list[tuple[int, tuple[int, ...]]]:
         """Execution trace as ``(pc, registers)`` snapshots (for tests).
 
-        Budgeted like :meth:`run` (``fuel`` is the deprecated alias).
+        Budgeted like :meth:`run`.
         """
-        budget = as_budget(budget, fuel, default_steps=limits.COUNTER_RUN)
+        budget = as_budget(budget, default_steps=limits.COUNTER_RUN)
         regs = [0] * self.num_registers
         for i, v in enumerate(inputs):
             regs[i] = v

@@ -126,8 +126,7 @@ class GenericMachine:
         self.start_state = start_state
         self.name = name
 
-    def run(self, input_store: Mapping[str, frozenset],
-            fuel: int | None = None, *,
+    def run(self, input_store: Mapping[str, frozenset], *,
             budget: Budget | int | None = None) -> tuple[Store, RunMetrics]:
         """Execute from a single unit with the input relations in store.
 
@@ -135,12 +134,10 @@ class GenericMachine:
         Raises :class:`MachineError` if the computation does not end
         with exactly one halted unit with an empty tape.
 
-        One budget step is one *synchronous* step of all live units;
-        ``fuel=N`` is the deprecated alias for
-        ``budget=Budget(max_steps=N)`` (default
-        :data:`repro.trace.limits.GM_RUN`).
+        One budget step is one *synchronous* step of all live units
+        (default :data:`repro.trace.limits.GM_RUN`).
         """
-        budget = as_budget(budget, fuel, default_steps=limits.GM_RUN)
+        budget = as_budget(budget, default_steps=limits.GM_RUN)
         units = [UnitGM(self.start_state, (),
                         {k: frozenset(v) for k, v in input_store.items()})]
         metrics = RunMetrics()

@@ -141,18 +141,14 @@ class GMhsMachine(GenericMachine):
             return [UnitGM(action.state, action.tape, store)]
         raise MachineError(f"unknown action {action!r}")
 
-    def run_on_cb(self, fuel: int | None = None, *,
-                  budget: Budget | int | None = None
+    def run_on_cb(self, *, budget: Budget | int | None = None
                   ) -> tuple[Store, RunMetrics]:
         """Run with the CB representative sets as the input store
         (relations named ``C1``, ``C2``, …).
 
-        ``fuel=N`` is the deprecated alias for
-        ``budget=Budget(max_steps=N)`` (default
-        :data:`repro.trace.limits.GMHS_RUN_ON_CB`).
+        Budget default: :data:`repro.trace.limits.GMHS_RUN_ON_CB`.
         """
-        budget = as_budget(budget, fuel,
-                           default_steps=limits.GMHS_RUN_ON_CB)
+        budget = as_budget(budget, default_steps=limits.GMHS_RUN_ON_CB)
         store = {f"C{i + 1}": reps
                  for i, reps in enumerate(self.hsdb.representatives)}
         return self.run(store, budget=budget)

@@ -83,8 +83,7 @@ def _loader_machine(hsdb: HSDatabase, depth: int) -> GMhsMachine:
 
 
 def run_query_gmhs(hsdb: HSDatabase, machine: QueryProcedure,
-                   search_window: int = 512,
-                   fuel: int | None = None, *,
+                   search_window: int = 512, *,
                    budget: Budget | int | None = None
                    ) -> tuple[Value, RunMetrics]:
     """Run a recursive generic query end to end, GMhs-style.
@@ -94,13 +93,12 @@ def run_query_gmhs(hsdb: HSDatabase, machine: QueryProcedure,
     narrative is about.
 
     The whole pipeline runs under one :class:`~repro.trace.Budget`
-    (``fuel=N`` is the deprecated alias, default
-    :data:`repro.trace.limits.GMHS_PIPELINE`): the loading stage
+    (default :data:`repro.trace.limits.GMHS_PIPELINE`): the loading stage
     charges per synchronous GMhs step, and the budget's deadline /
     cancellation flag are re-checked between stages so a cancelled run
     stops at the next stage boundary.
     """
-    budget = as_budget(budget, fuel, default_steps=limits.GMHS_PIPELINE)
+    budget = as_budget(budget, default_steps=limits.GMHS_PIPELINE)
     with span("gmhs.pipeline", database=getattr(hsdb, "name", "?")):
         # Stage 1: load the C's with genuine spawn/collapse mechanics.
         with span("gmhs.load"):

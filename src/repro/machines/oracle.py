@@ -122,18 +122,15 @@ class OracleProgram:
                     raise MachineError(
                         f"instruction {pc}: ASK arity mismatch")
 
-    def run(self, oracle: DatabaseOracle, u: tuple,
-            fuel: int | None = None, *,
+    def run(self, oracle: DatabaseOracle, u: tuple, *,
             budget: Budget | int | None = None) -> bool:
         """Decide ``u ∈ Q(B)`` through the oracle.
 
         One budget step is one executed instruction (``ASK`` questions
-        are additionally charged to the budget's oracle allowance);
-        ``fuel=N`` is the deprecated alias for
-        ``budget=Budget(max_steps=N)`` (default
-        :data:`repro.trace.limits.ORACLE_RUN`).
+        are additionally charged to the budget's oracle allowance;
+        default :data:`repro.trace.limits.ORACLE_RUN`).
         """
-        budget = as_budget(budget, fuel, default_steps=limits.ORACLE_RUN)
+        budget = as_budget(budget, default_steps=limits.ORACLE_RUN)
         registers: list = [None] * self.num_registers
         enumerator = iter(oracle.domain)
         pc = 0
@@ -178,8 +175,7 @@ class OracleProgram:
                 if pc >= len(self.instructions):
                     raise MachineError(f"{self.name}: fell off the program")
 
-    def as_rquery(self, output_rank: int | None = None,
-                  fuel: int | None = None, *,
+    def as_rquery(self, output_rank: int | None = None, *,
                   budget: Budget | int | None = None) -> OracleQuery:
         """The r-query this machine computes (Definition 2.4).
 
@@ -187,7 +183,7 @@ class OracleProgram:
         so every tuple gets the full per-run allowance while deadlines
         and cancellation still span the whole query.
         """
-        base = as_budget(budget, fuel, default_steps=limits.ORACLE_RUN)
+        base = as_budget(budget, default_steps=limits.ORACLE_RUN)
         return OracleQuery(
             self.type_signature,
             lambda oracle, u: self.run(oracle, u, budget=base.fork()),

@@ -282,11 +282,10 @@ class PQPipeline:
     ``⋃ d[i₁,…,i_m]``).
     """
 
-    def __init__(self, hsdb: HSDatabase, fuel: int | None = None,
-                 search_window: int = 512, *, budget=None):
+    def __init__(self, hsdb: HSDatabase, search_window: int = 512, *,
+                 budget=None):
         self.hsdb = hsdb
-        self.budget = as_budget(budget, fuel,
-                                default_steps=limits.PQ_PIPELINE)
+        self.budget = as_budget(budget, default_steps=limits.PQ_PIPELINE)
         self.interpreter = QLhsInterpreter(hsdb, budget=self.budget)
         self.search_window = search_window
 

@@ -90,24 +90,17 @@ class QLhsInterpreter:
         one executed statement or term operation (bulk operations cost
         their output size).  Exceeding any dimension raises
         :class:`~repro.errors.OutOfFuel` (QLhs expresses partial
-        queries).  ``fuel=N`` is the deprecated alias for
-        ``budget=Budget(max_steps=N)`` (default
+        queries).  An int ``N`` means ``Budget(max_steps=N)`` (default
         :data:`repro.trace.limits.QLHS_INTERPRETER`).
     """
 
-    def __init__(self, hsdb: HSDatabase, fuel: int | None = None, *,
+    def __init__(self, hsdb: HSDatabase, *,
                  budget: Budget | int | None = None):
         self.hsdb = hsdb
-        self.budget = as_budget(budget, fuel,
-                                default_steps=limits.QLHS_INTERPRETER)
+        self.budget = as_budget(budget, default_steps=limits.QLHS_INTERPRETER)
         self._oracle_seen = hsdb.equiv.calls
 
     # -- accounting --------------------------------------------------------
-
-    @property
-    def fuel(self) -> int | None:
-        """Deprecated alias for ``budget.max_steps``."""
-        return self.budget.max_steps
 
     @property
     def steps(self) -> int:

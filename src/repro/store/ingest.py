@@ -10,8 +10,7 @@ and evaluating its warm-up queries under an :data:`~repro.trace.limits.
 INGEST_DB` step budget, and landing everything in one WAL-mode sqlite
 :class:`~repro.store.backend.Store`.
 
-Process topology (PR 4's ``propagate_span`` contract, applied across
-*processes*): each worker builds its databases against a private
+Process topology: each worker builds its databases against a private
 :class:`~repro.engine.cache.EngineCache` and returns a **JSON-safe
 payload** — pre-encoded result rows plus an
 :class:`~repro.engine.stats.EngineStats` dict.  The parent is the sole

@@ -5,8 +5,8 @@ library executes under:
 
 * :mod:`repro.trace.budget` — :class:`Budget`: max steps, max oracle
   questions, wall-clock deadline, cooperative :meth:`Budget.cancel`;
-  the :func:`as_budget` shim that keeps the historical ``fuel=``
-  integers working as deprecated aliases;
+  the :func:`as_budget` coercion every governed entry point applies to
+  its ``budget=`` argument;
 * :mod:`repro.trace.limits` — the single registry of every default
   budget in the library (rendered as ``docs/limits.md`` and
   cross-checked by a unit test);
@@ -48,11 +48,9 @@ from .spans import (
     add_counter,
     current_span,
     install,
-    propagate_span,
     recording,
     replay_records,
     span,
-    under_span,
     uninstall,
 )
 
@@ -71,10 +69,8 @@ __all__ = [
     "as_budget",
     "current_span",
     "install",
-    "propagate_span",
     "recording",
     "replay_records",
     "span",
-    "under_span",
     "uninstall",
 ]

@@ -4,9 +4,8 @@ Queries over recursive databases express *partial* functions — QLhs
 while-loops, GMhs runs, and counter machines can diverge — so every
 execution is governed by a :class:`Budget`: a step allowance, an
 optional oracle-question allowance, an optional wall-clock deadline,
-and a cooperative cancellation flag.  A budget replaces the scattered
-``fuel`` integers of earlier revisions (those keyword parameters
-survive as deprecated aliases that construct a budget).
+and a cooperative cancellation flag.  Every governed entry point takes
+it as ``budget=`` (an int is shorthand for ``Budget(max_steps=...)``).
 
 Exhausting any dimension raises :class:`~repro.errors.OutOfFuel`
 carrying a machine-readable ``reason`` (:data:`OUT_OF_FUEL`,
@@ -64,10 +63,11 @@ class Budget:
         children inherit the *absolute* deadline, so a whole evaluation
         tree shares one clock.
 
-    Thread safety: one budget may be charged from many threads (the
-    engine's parallel batch path shares one fork across its pool
-    workers).  :meth:`charge` / :meth:`charge_oracle` run under a
-    private lock and commit **check-then-charge**: a charge that would
+    Thread safety: one budget may be charged from many threads (two
+    evaluations sharing one budget on a shared engine, or shard joins
+    absorbing into one parent).  :meth:`charge` /
+    :meth:`charge_oracle` run under a private lock and commit
+    **check-then-charge**: a charge that would
     exceed the limit raises *without* consuming, so ``steps`` never
     exceeds ``max_steps`` and hammering one budget from N threads
     yields exact accounting — the sum of successful charges equals the
@@ -302,21 +302,19 @@ class Budget:
         return f"Budget({', '.join(parts)})"
 
 
-def as_budget(budget: "Budget | int | None" = None,
-              fuel: int | None = None, *,
+def as_budget(budget: "Budget | int | None" = None, *,
               default_steps: int | None = None) -> Budget:
-    """Coerce the ``(budget, fuel)`` parameter pair into a :class:`Budget`.
+    """Coerce a ``budget=`` argument into a :class:`Budget`.
 
-    This is the deprecated-alias shim every governed entry point uses:
-    ``fuel=N`` (the historical integer knob) constructs
-    ``Budget(max_steps=N)``; an integer ``budget`` does the same; a
-    :class:`Budget` passes through; and with neither, the entry point's
-    registered default from :mod:`repro.trace.limits` applies.
+    Every governed entry point applies this: a :class:`Budget` passes
+    through, an integer ``N`` constructs ``Budget(max_steps=N)``, and
+    ``None`` gets the entry point's registered default from
+    :mod:`repro.trace.limits`.
 
     Doctest::
 
         >>> from repro.trace.budget import as_budget
-        >>> as_budget(fuel=7).max_steps           # deprecated alias
+        >>> as_budget(7).max_steps
         7
         >>> as_budget(default_steps=99).max_steps
         99
@@ -324,13 +322,8 @@ def as_budget(budget: "Budget | int | None" = None,
         >>> as_budget(b) is b
         True
     """
-    if budget is not None and fuel is not None:
-        raise ValueError("pass either budget= or the deprecated fuel=, "
-                         "not both")
-    if budget is not None:
-        if isinstance(budget, Budget):
-            return budget
-        return Budget(max_steps=int(budget))
-    if fuel is not None:
-        return Budget(max_steps=int(fuel))
-    return Budget(max_steps=default_steps)
+    if budget is None:
+        return Budget(max_steps=default_steps)
+    if isinstance(budget, Budget):
+        return budget
+    return Budget(max_steps=int(budget))

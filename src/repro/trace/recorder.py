@@ -40,7 +40,7 @@ class TraceRecorder:
     :func:`repro.trace.install` or :func:`repro.trace.recording`).
 
     Thread-safe: spans finish on whichever thread opened them (the
-    engine's parallel batch workers included), so :meth:`record`, the
+    serving tier's pool threads included), so :meth:`record`, the
     :meth:`trace` snapshot, and :meth:`clear` all run under one lock —
     the ``dropped`` counter stays exact and a snapshot taken while
     workers are still recording is a consistent prefix, never a

@@ -14,14 +14,10 @@ shared no-op context manager — tracing then costs one global read and
 one truthiness test per call site, which is what keeps the E16
 overhead budget at ~0%.
 
-Because the stack is thread-local, work submitted to a
-:class:`~concurrent.futures.ThreadPoolExecutor` would start a *fresh*
-stack and its spans would surface as orphan roots.  :func:`under_span`
-(adopt a captured parent for a block) and :func:`propagate_span` (wrap
-a callable with the submitting thread's current span) carry the
-hierarchy across the pool boundary — the engine's parallel batch path
-uses them so ``--trace`` trees keep their ``engine.batch_contains``
-parent.  A propagated parent is used for *parentage only*: mutate
+Because the stack is thread-local, a span opened on a fresh thread
+roots its own subtree: parentage never crosses a thread boundary.
+Across a *process* boundary, :func:`replay_records` re-parents a
+worker's serialized spans under the coordinator's span.  Mutate
 (``count``/``set``) a span only from the thread that opened it.
 
 Doctest::
@@ -193,9 +189,6 @@ class _SpanCM:
         sp.span_id = next(_ids)
         if stack:
             sp.parent_id = stack[-1].span_id
-            # Relative to the enclosing span, not the local stack size:
-            # a worker thread adopting a propagated parent (see
-            # ``under_span``) has a short stack but a deep ancestry.
             sp.depth = stack[-1].depth + 1
         sp.start = time.monotonic()
         stack.append(sp)
@@ -244,37 +237,12 @@ def add_counter(name: str, n: int = 1) -> None:
     current_span().count(name, n)
 
 
-@contextmanager
-def under_span(parent):
-    """Adopt ``parent`` as this thread's enclosing span for a block.
-
-    The cross-thread propagation primitive: capture
-    :func:`current_span` on the submitting thread, then run the worker
-    body ``with under_span(parent):`` so spans it opens nest under the
-    submitter's span instead of surfacing as orphan roots.  ``parent``
-    may be ``None`` or the no-op span (both make this a no-op), so the
-    capture works whether or not a recorder is installed.  The parent
-    is adopted for *parentage only* — it is not re-recorded, and its
-    duration keeps running on the owning thread.
-    """
-    if parent is None or parent is NULL_SPAN:
-        yield
-        return
-    stack = _state.stack
-    stack.append(parent)
-    try:
-        yield
-    finally:
-        if stack and stack[-1] is parent:
-            stack.pop()
-
-
 def replay_records(records, parent=None, *, base_start: float | None = None):
     """Re-record spans serialized in *another process* under ``parent``.
 
-    The cross-process half of the :func:`propagate_span` contract
-    (:mod:`repro.engine.shard`): a worker process traces into its own
-    private recorder, serializes the spans with :meth:`Span.to_record`
+    The sharded executor's span join (:mod:`repro.engine.shard`): a
+    worker process traces into its own private recorder, serializes
+    the spans with :meth:`Span.to_record`
     (times in µs from the worker's task epoch), and ships them back;
     the coordinator calls this at the join.  Each record becomes a
     fresh local :class:`Span` with a **new** span id (worker ids live
@@ -333,23 +301,3 @@ def replay_records(records, parent=None, *, base_start: float | None = None):
         recorder.record(sp)
     return replayed
 
-
-def propagate_span(fn):
-    """Wrap ``fn`` to run under the *submitting* thread's current span.
-
-    Capture happens now (at wrap time, on the thread calling
-    ``propagate_span``); the returned callable replays that span as
-    the enclosing parent wherever it executes — typically inside a
-    :class:`~concurrent.futures.ThreadPoolExecutor` worker::
-
-        task = propagate_span(work)
-        pool.map(task, items)     # worker spans nest under this span
-    """
-    stack = _state.stack
-    parent = stack[-1] if stack else None
-
-    def runner(*args, **kwargs):
-        with under_span(parent):
-            return fn(*args, **kwargs)
-
-    return runner

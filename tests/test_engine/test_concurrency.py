@@ -2,7 +2,7 @@
 
 Each fast test here pins one of the concurrency fixes (atomic budgets,
 the lock-striped result cache, context-scoped active budgets,
-mid-batch cancellation, span propagation); on the pre-fix code every
+mid-batch cancellation); on the pre-fix code every
 one of them fails — deterministically for the budget accounting (the
 old committing ``charge`` always overshoots under contention) and
 probabilistically for the TOCTOU/interleaving races (the reduced GIL
@@ -222,7 +222,7 @@ class TestEngineReentrancy:
 class TestCancellationMidBatch:
     """Satellite (tests): cancel a running batch from another thread."""
 
-    def test_cancel_interrupts_parallel_batch(self):
+    def test_cancel_from_another_thread_interrupts_batch(self):
         engine = Engine(rado_hsdb())
         pool = engine.db.domain.first(6)
         tuples = [(x, y) for x in pool for y in pool]
@@ -231,8 +231,8 @@ class TestCancellationMidBatch:
         original_member = engine._member
 
         def blocking_member(value, u):
-            # Every membership call parks until released, so both pool
-            # workers are guaranteed to be mid-tuple when ``cancel()``
+            # Every membership call parks until released, so the batch
+            # thread is guaranteed to be mid-tuple when ``cancel()``
             # lands and the next ``run.check()`` must observe it.
             started.set()
             release.wait(timeout=30)
@@ -243,8 +243,7 @@ class TestCancellationMidBatch:
 
         def run_batch():
             try:
-                outcome["answers"] = engine.batch_contains(
-                    Scan(0), tuples, parallel=True, max_workers=2)
+                outcome["answers"] = engine.batch_contains(Scan(0), tuples)
             except OutOfFuel as exc:
                 outcome["error"] = exc
 
@@ -272,7 +271,7 @@ class TestCancellationMidBatch:
 
         engine._member = cancelling_member
         with pytest.raises(OutOfFuel) as exc:
-            engine.batch_contains(Scan(0), tuples, parallel=False)
+            engine.batch_contains(Scan(0), tuples)
         assert exc.value.reason == CANCELLED
 
 
@@ -302,16 +301,22 @@ class TestSharedCacheMultiEngine:
 
     def test_parallel_batches_under_contention_bit_for_bit(
             self, tight_gil):
+        """Four threads run sequential batches on one shared engine at
+        once — the serve pool's shape — and each gets the reference
+        answers, cold or warm."""
         engine = Engine(rado_hsdb())
         pool = engine.db.domain.first(8)
         tuples = [(x, y) for x in pool for y in pool]
-        expected = Engine(rado_hsdb()).batch_contains(
-            Scan(0), tuples, parallel=False)
+        expected = Engine(rado_hsdb()).batch_contains(Scan(0), tuples)
 
         def work(i):
-            answers = engine.batch_contains(
-                Scan(0), tuples, parallel=True, max_workers=2)
-            assert answers == expected
+            # Each thread walks the grid from its own offset, so the
+            # threads race on cold keys as well as warm ones.
+            shift = i * len(tuples) // 4
+            mine = tuples[shift:] + tuples[:shift]
+            for __ in range(3):
+                answers = engine.batch_contains(Scan(0), mine)
+                assert answers == expected[shift:] + expected[:shift]
 
         errors = _run_threads(4, work)
         assert errors == []

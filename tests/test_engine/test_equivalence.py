@@ -79,7 +79,7 @@ def test_open_formulas_match_relation_from_formula(db_name, text):
 def test_qlhs_programs_match_interpreter(db_name, source):
     db = DATABASES[db_name]()
     program = parse_program(source)
-    direct = QLhsInterpreter(db, fuel=10 ** 7).run(program)
+    direct = QLhsInterpreter(db, budget=10 ** 7).run(program)
     via_engine = Engine(db).evaluate(plan_from_qlhs(program))
     assert via_engine == direct
 
@@ -93,7 +93,7 @@ def test_qlhs_terms_lower_structurally(source):
     term = program.term  # single assignment: Assign(var, term)
     plan = plan_from_qlhs(term, signature=db.signature)
     assert type(plan).__name__ != "Fixpoint"
-    direct = QLhsInterpreter(db, fuel=10 ** 7).run(program)
+    direct = QLhsInterpreter(db, budget=10 ** 7).run(program)
     assert Engine(db).evaluate(plan) == direct
 
 
@@ -112,7 +112,7 @@ def _bridge_fcf():
 ])
 def test_qlf_programs_match_interpreter(source):
     program = parse_program(source)
-    direct = QLfInterpreter(_bridge_fcf(), fuel=10 ** 7).result(program)
+    direct = QLfInterpreter(_bridge_fcf(), budget=10 ** 7).result(program)
     via_engine = Engine(_bridge_fcf()).evaluate(plan_from_qlf(program))
     assert via_engine == direct
 

@@ -122,15 +122,6 @@ class TestBatchExecution:
         answers = engine.batch_contains(Scan(0), tuples)
         assert answers == [k3k2.contains(0, u) for u in tuples]
 
-    def test_parallel_matches_sequential_bit_for_bit(self, k3k2):
-        pool = k3k2.domain.first(8)
-        tuples = [(x, y) for x in pool for y in pool]
-        sequential = Engine(mixed_components_hsdb()).batch_contains(
-            Scan(0), tuples, parallel=False)
-        parallel = Engine(mixed_components_hsdb()).batch_contains(
-            Scan(0), tuples, parallel=True, max_workers=4)
-        assert sequential == parallel
-
     def test_batch_answers_are_cached(self, engine, k3k2):
         u = (k3k2.domain.first(1)[0],) * 2
         engine.contains(Scan(0), u)

@@ -192,15 +192,19 @@ class TestEvalBatch:
         with pytest.raises(ShardTaskError, match="fingerprint"):
             executor.eval_batch(engine, _plans(engine), spec=bad)
 
-    def test_engine_entry_point(self, executor, engine):
+    def test_engine_entry_point(self, engine):
+        # The documented way to run an engine's batch on several cores:
+        # a scoped executor, whose workers are gone when the block ends.
         plans = _plans(engine)
-        got = engine.eval_batch(plans, workers=2)
+        with ShardExecutor(2) as executor:
+            got = executor.eval_batch(engine, plans)
+        assert executor.pool._pool is None
         assert ([v.status for v in got]
                 == [v.status for v in Engine(rado_hsdb()).eval_batch(plans)])
 
-    def test_engine_entry_point_falls_back_unshardable(self):
-        # A database derive_spec cannot recognize: workers= degrades to
-        # the sequential path instead of failing.
+    def test_unshardable_database_raises(self, executor):
+        # A database derive_spec cannot recognize cannot ship: the
+        # caller passes spec= or evaluates in-process.
         from repro.core import finite_database
         from repro.symmetric.constructions import from_finite_database
         db = from_finite_database(
@@ -210,8 +214,55 @@ class TestEvalBatch:
         plans = [plan_from_sentence(parse(s), engine.signature)
                  for s in ("exists x. R1(x, x)",
                            "exists x. exists y. R1(x, y)")]
-        got = engine.eval_batch(plans, workers=2)
-        assert [v.status for v in got] == ["false", "true"]
+        with pytest.raises(UnshardableDatabaseError):
+            executor.eval_batch(engine, plans)
+        assert ([v.status for v in engine.eval_batch(plans)]
+                == ["false", "true"])
+
+
+class TestInProcessMembersHonourTheBudget:
+    """Members the executor evaluates on the coordinator run under the
+    caller's budget, as a worker would run them — never under the
+    coordinator engine's own (here 50k steps, so a regression fails
+    fast)."""
+
+    @staticmethod
+    def _coordinator():
+        return Engine(rado_hsdb(), budget=50_000)
+
+    def test_fallback_batch_uses_the_template(self, executor):
+        engine = self._coordinator()
+        reference = Engine(rado_hsdb()).eval(
+            _diverging(), budget=Budget(max_steps=500))
+        # One member cannot fill two shards: the batch runs in-process.
+        got = executor.eval_batch(engine, [_diverging()],
+                                  budget=Budget(max_steps=500))
+        assert got[0].is_unknown
+        assert got[0].steps == reference.steps < 1_000
+
+    def test_fallback_batch_charges_member_budgets(self, executor):
+        engine = self._coordinator()
+        members = [Budget(max_steps=500)]
+        got = executor.eval_batch(engine, [_diverging()],
+                                  member_budgets=members)
+        assert got[0].is_unknown
+        assert 0 < members[0].steps <= 500
+
+    def test_unserializable_member_uses_its_member_budget(self,
+                                                          executor):
+        from repro.engine import lower_all
+        engine = self._coordinator()
+        gmhs = lower_all(parse("exists x. R1(x, x)"), engine.signature,
+                         include_gmhs=True)["gmhs"]
+        plans = _plans(engine)
+        plans.insert(1, gmhs)
+        members = [Budget(max_steps=10_000_000) for __ in plans]
+        members[1].cancel()
+        got = executor.eval_batch(engine, plans, member_budgets=members)
+        assert got[1].is_unknown and got[1].reason == "cancelled"
+        assert [v.status for v in got[:1] + got[2:]] == [
+            v.status for v in Engine(rado_hsdb()).eval_batch(
+                _plans(engine))]
 
 
 class TestBatchContains:
@@ -244,12 +295,14 @@ class TestBatchContains:
             executor.batch_contains(engine, diverge, _grid(engine, 4),
                                     budget=Budget(max_steps=100))
 
-    def test_engine_entry_point(self, executor, engine):
+    def test_engine_entry_point(self, engine):
         plan = _open_plan(engine)
         tuples = _grid(engine, 5)
         sequential = Engine(rado_hsdb()).batch_contains(plan, tuples)
-        assert engine.batch_contains(plan, tuples,
-                                     workers=2) == sequential
+        with ShardExecutor(2) as executor:
+            got = executor.batch_contains(engine, plan, tuples)
+        assert executor.pool._pool is None
+        assert got == sequential
 
 
 class TestSpanReplay:
@@ -268,6 +321,10 @@ class TestSpanReplay:
         for task in tasks:
             assert task.parent_id == batch[0].span_id
             assert task.depth == batch[0].depth + 1
+
+
+def _diverging():
+    return plan_from_qlhs(parse_program("while |Y1| = 0 do { Y2 := !Y2 }"))
 
 
 def _open_plan(engine):

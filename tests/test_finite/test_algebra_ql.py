@@ -123,7 +123,7 @@ class TestQLInterpreter:
 
     def test_while_and_fuel(self):
         P = path_db(2)
-        it = QLInterpreter(P, fuel=100)
+        it = QLInterpreter(P, budget=100)
         with pytest.raises(OutOfFuel):
             it.execute(parse_program(
                 "Z := down(down(down(E))) ; while |Z| = 0 do { Y := E }"))

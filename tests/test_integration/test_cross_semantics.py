@@ -51,7 +51,7 @@ class TestQLhsVsQLOnUnfoldings:
         cu = mixed_components_hsdb()
         program = parse_program(text)
 
-        hs_value = QLhsInterpreter(cu, fuel=10_000_000).run(program)
+        hs_value = QLhsInterpreter(cu, budget=10_000_000).run(program)
 
         # The window must cover *whole* components: an unfolding that
         # cuts a component leaves its nodes with truncated
@@ -61,7 +61,7 @@ class TestQLhsVsQLOnUnfoldings:
         # kind.
         window = 10
         unfolded = unfold_hsdb(cu, window)
-        ql_value = QLInterpreter(unfolded, fuel=10_000_000).run(program)
+        ql_value = QLInterpreter(unfolded, budget=10_000_000).run(program)
 
         elements = unfolded.domain.first(window)
         from itertools import product

@@ -43,7 +43,7 @@ def database_zoo():
                          ids=lambda hs: hs.name)
 class TestEveryEngineOnEveryDatabase:
     def test_qlhs_core_program(self, hsdb):
-        it = QLhsInterpreter(hsdb, fuel=10 ** 8)
+        it = QLhsInterpreter(hsdb, budget=10 ** 8)
         value = it.run(parse_program("Y1 := down(R1)"))
         assert value.rank == 1
         # Every representative really projects from an R1 member.
@@ -59,7 +59,7 @@ class TestEveryEngineOnEveryDatabase:
                 "select_atom materializes T^{n+2}, which is infeasible "
                 "there (the lazy FO evaluator still works — see "
                 "test_sentences_decided)")
-        it = QLhsInterpreter(hsdb, fuel=10 ** 8)
+        it = QLhsInterpreter(hsdb, budget=10 ** 8)
         via_fo = relation_from_formula(hsdb, HAS_NEIGHBOUR, [X])
         via_algebra = evaluate_via_algebra(it, HAS_NEIGHBOUR, [X]).paths
         assert via_fo == via_algebra
@@ -75,7 +75,7 @@ class TestEveryEngineOnEveryDatabase:
         def first_relation(oracle):
             return set(oracle.relations()[0])
 
-        value = PQPipeline(hsdb, fuel=10 ** 8).execute(first_relation)
+        value = PQPipeline(hsdb, budget=10 ** 8).execute(first_relation)
         assert value.paths == hsdb.representatives[0]
 
     def test_sentences_decided(self, hsdb):

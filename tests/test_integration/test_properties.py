@@ -96,7 +96,7 @@ class TestCanonicalizationProperties:
 class TestQLhsLaws:
     @pytest.fixture(scope="class")
     def it(self):
-        return QLhsInterpreter(mixed_components_hsdb(), fuel=10 ** 7)
+        return QLhsInterpreter(mixed_components_hsdb(), budget=10 ** 7)
 
     def test_double_complement(self, it):
         assert it.eval_term(parse_term("!(!R1)"), {}) == \

@@ -45,9 +45,9 @@ def hs_db(fcf_db):
 def test_same_program_same_relation(fcf_db, hs_db, text):
     program = parse_program(text)
 
-    fcf_answer = QLfInterpreter(fcf_db, fuel=10 ** 7).execute(
+    fcf_answer = QLfInterpreter(fcf_db, budget=10 ** 7).execute(
         program)["Y1"]
-    hs_answer = QLhsInterpreter(hs_db, fuel=10 ** 7).run(program)
+    hs_answer = QLhsInterpreter(hs_db, budget=10 ** 7).run(program)
 
     probes = PROBE_RANKS.get(hs_answer.rank)
     assert probes is not None, f"unexpected rank {hs_answer.rank}"

@@ -91,5 +91,5 @@ class TestAssembledInQLhs:
         from repro.symmetric import infinite_clique
         result = run_compiled(subtract_machine(), [9, 3],
                               QLhsInterpreter(infinite_clique(),
-                                              fuel=10 ** 9))
+                                              budget=10 ** 9))
         assert result[0] == 6

@@ -54,7 +54,7 @@ class TestCounterMachine:
     def test_fuel(self):
         diverge = CounterMachine([Jmp(0)], num_registers=1)
         with pytest.raises(OutOfFuel):
-            diverge.run([0], fuel=100)
+            diverge.run([0], budget=100)
 
     def test_validation(self):
         with pytest.raises(MachineError):
@@ -127,7 +127,7 @@ class TestOracleProgram:
             Jump(1),
             Accept(),
         ], num_registers=2, type_signature=(2,), name="less-than-x")
-        Q = program.as_rquery(output_rank=1, fuel=500)
+        Q = program.as_rquery(output_rank=1, budget=500)
         with pytest.raises(OutOfFuel):
             Q.holds(lt_db(), (0,))  # nothing is below 0: diverges
 

@@ -79,7 +79,7 @@ class TestGenericMachine:
     def test_fuel(self):
         gm = GenericMachine(lambda s, t, f: Continue("start", t))
         with pytest.raises(OutOfFuel):
-            gm.run({"C": frozenset({(1,)})}, fuel=50)
+            gm.run({"C": frozenset({(1,)})}, budget=50)
 
 
 class TestLoadingProtocol:

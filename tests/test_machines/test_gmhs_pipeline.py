@@ -74,7 +74,7 @@ class TestGMhsPipeline:
             "and x != y and y != z and x != z)")
         via_fo = relation_from_formula(cu, formula, [Var("x")])
         via_algebra = evaluate_via_algebra(
-            QLhsInterpreter(cu, fuel=10 ** 8), formula, [Var("x")]).paths
+            QLhsInterpreter(cu, budget=10 ** 8), formula, [Var("x")]).paths
         assert via_gmhs.paths == via_pq.paths == via_fo == via_algebra
 
     def test_triangles_only_db(self):

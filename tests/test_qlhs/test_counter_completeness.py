@@ -32,8 +32,8 @@ def k3_k2():
     return component_union([(tri, INFINITE), (edge, INFINITE)], name="K3+K2")
 
 
-def fresh_interp(hsdb=None, fuel=100_000_000):
-    return QLhsInterpreter(hsdb or infinite_clique(), fuel=fuel)
+def fresh_interp(hsdb=None, budget=100_000_000):
+    return QLhsInterpreter(hsdb or infinite_clique(), budget=budget)
 
 
 class TestCounterCompilation:

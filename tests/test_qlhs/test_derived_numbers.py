@@ -48,12 +48,12 @@ def k3_k2():
 
 @pytest.fixture
 def it():
-    return QLhsInterpreter(infinite_clique(), fuel=2_000_000)
+    return QLhsInterpreter(infinite_clique(), budget=2_000_000)
 
 
 @pytest.fixture
 def cu_it():
-    return QLhsInterpreter(k3_k2(), fuel=5_000_000)
+    return QLhsInterpreter(k3_k2(), budget=5_000_000)
 
 
 class TestTermMacros:

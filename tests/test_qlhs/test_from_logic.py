@@ -48,7 +48,7 @@ def cu():
 
 @pytest.fixture(scope="module")
 def it(cu):
-    return QLhsInterpreter(cu, fuel=10 ** 8)
+    return QLhsInterpreter(cu, budget=10 ** 8)
 
 
 class TestAgreementWithEvaluator:
@@ -68,7 +68,7 @@ class TestAgreementWithEvaluator:
 
     def test_on_other_databases(self):
         for hs in (infinite_clique(), triangles_hsdb(), rado_hsdb()):
-            it = QLhsInterpreter(hs, fuel=10 ** 8)
+            it = QLhsInterpreter(hs, budget=10 ** 8)
             f = parse("exists y. (x != y and R1(x, y))")
             assert evaluate_via_algebra(it, f, [X]).paths == \
                 relation_from_formula(hs, f, [X])

@@ -29,12 +29,12 @@ def k3_k2():
 
 @pytest.fixture
 def clique_interp():
-    return QLhsInterpreter(infinite_clique(), fuel=1_000_000)
+    return QLhsInterpreter(infinite_clique(), budget=1_000_000)
 
 
 @pytest.fixture
 def cu_interp():
-    return QLhsInterpreter(k3_k2(), fuel=1_000_000)
+    return QLhsInterpreter(k3_k2(), budget=1_000_000)
 
 
 class TestValues:
@@ -171,7 +171,7 @@ class TestPrograms:
         assert v.is_empty
 
     def test_fuel_exhaustion(self):
-        it = QLhsInterpreter(infinite_clique(), fuel=200)
+        it = QLhsInterpreter(infinite_clique(), budget=200)
         diverging = parse_program(
             "Z := down(down(down(E))) ; while |Z| = 0 do { Y := E }")
         with pytest.raises(OutOfFuel):

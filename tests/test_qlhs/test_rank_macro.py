@@ -15,7 +15,7 @@ from repro.symmetric import infinite_clique
 
 @pytest.fixture(scope="module")
 def it():
-    return QLhsInterpreter(infinite_clique(), fuel=10 ** 7)
+    return QLhsInterpreter(infinite_clique(), budget=10 ** 7)
 
 
 def measured_rank(it, source_text: str) -> int:

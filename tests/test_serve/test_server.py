@@ -277,6 +277,28 @@ class TestShardedBatches:
         assert warm == sequential
         assert [m["index"] for m in sharded[:-1]] == [0, 1, 2, 3, 4]
 
+    def test_lone_member_charges_the_tenant_budget(self):
+        """A batch with one evaluable member never fills two shards, so
+        it runs in-process; it must still stop at the tenant's step
+        limit and charge the tenant, as the sequential server does."""
+        queries = ["while |Y5| = 0 do { Y6 := !Y6 }", "this is not qlhs"]
+        seen = []
+        for workers in (1, 2):
+            spec = {"databases": {"clique": {"kind": "builtin"}},
+                    "tenants": {"default": {"max_steps": 2000}},
+                    "server": {"workers": workers}}
+            with start_in_thread(config_from_dict(spec)) as server:
+                client = ServeClient(server.base_url)
+                lines = self._strip(list(client.eval_batch(
+                    "clique", queries, frontend="qlhs")))
+                used = client.stats()["tenants"]["default"]["steps_used"]
+            assert lines[0]["status"] == "unknown"
+            assert lines[0]["reason"] == "out_of_fuel"
+            assert "error" in lines[1]
+            seen.append((lines, used))
+        assert seen[0] == seen[1]
+        assert 0 < seen[0][1] <= 2000
+
     def test_sequential_server_reports_one_shard_worker(self):
         with start_in_thread(self._config(1)) as server:
             stats = ServeClient(server.base_url).stats()

@@ -195,17 +195,12 @@ class TestAsBudget:
         b = Budget(max_steps=5)
         assert as_budget(b) is b
 
-    def test_int_budget_and_deprecated_alias(self):
+    def test_int_budget(self):
         assert as_budget(17).max_steps == 17
-        assert as_budget(fuel=17).max_steps == 17
 
     def test_default(self):
         assert as_budget(default_steps=99).max_steps == 99
         assert as_budget().max_steps is None
-
-    def test_both_rejected(self):
-        with pytest.raises(ValueError):
-            as_budget(Budget(), fuel=5)
 
     def test_reason_vocabulary_is_closed(self):
         assert REASONS == (OUT_OF_FUEL, DEADLINE, CANCELLED)

@@ -13,10 +13,8 @@ from repro.trace import (
     add_counter,
     current_span,
     install,
-    propagate_span,
     recording,
     span,
-    under_span,
     uninstall,
 )
 from repro.trace.spans import _NULL_CM, NULL_SPAN
@@ -185,61 +183,12 @@ class TestJsonl:
 
 
 class TestSpanPropagation:
-    """Parent-span propagation into worker threads (satellite 4)."""
-
-    def test_under_span_adopts_parent_across_threads(self):
-        rec = TraceRecorder()
-        with recording(rec):
-            with span("submit") as parent_sp:
-                parent = current_span()
-
-                def worker():
-                    with under_span(parent):
-                        with span("task"):
-                            pass
-
-                t = threading.Thread(target=worker)
-                t.start()
-                t.join()
-        submit, task = rec.trace().ordered()
-        assert submit.name == "submit" and task.name == "task"
-        assert task.parent_id == submit.span_id
-        assert task.depth == submit.depth + 1
-        assert parent_sp is not NULL_SPAN
-
-    def test_propagate_span_captures_at_wrap_time(self):
-        rec = TraceRecorder()
-        with recording(rec):
-            with span("outer"):
-                def work():
-                    with span("inner"):
-                        pass
-                task = propagate_span(work)
-            # Run *after* "outer" closed, on a different thread: the
-            # wrap-time parent still wins.
-            t = threading.Thread(target=task)
-            t.start()
-            t.join()
-        outer, inner = rec.trace().ordered()
-        assert inner.parent_id == outer.span_id
-        assert inner.depth == outer.depth + 1
-
-    def test_under_span_with_null_parent_is_noop(self):
-        rec = TraceRecorder()
-        with recording(rec):
-            with under_span(NULL_SPAN):
-                with span("root"):
-                    pass
-            with under_span(None):
-                with span("root2"):
-                    pass
-        root, root2 = rec.trace().ordered()
-        assert root.parent_id is None
-        assert root2.parent_id is None
+    """Span parentage does not cross threads."""
 
     def test_unpropagated_thread_spans_are_roots(self):
-        """Without under_span, a worker's spans are orphan roots —
-        the documented pre-propagation behaviour."""
+        """A span opened on a fresh thread roots its own subtree: the
+        span stack is thread-local, so the submitting thread's open
+        span is not its parent."""
         rec = TraceRecorder()
         with recording(rec):
             with span("submit"):
@@ -252,35 +201,6 @@ class TestSpanPropagation:
         submit, task = rec.trace().ordered()
         assert task.parent_id is None
         assert task.depth == 0
-
-    def test_engine_member_spans_nest_under_batch(self):
-        """The batch executor propagates its span into pool workers:
-        every ``engine.member`` recorded from a worker thread has the
-        ``engine.batch_contains`` span as an ancestor."""
-        from repro.engine import Engine, Scan
-        from repro.symmetric import rado_hsdb
-
-        engine = Engine(rado_hsdb())
-        pool = engine.db.domain.first(4)
-        tuples = [(x, y) for x in pool for y in pool]
-        rec = TraceRecorder(capacity=4096)
-        with recording(rec):
-            engine.batch_contains(Scan(0), tuples, parallel=True,
-                                  max_workers=4)
-        spans_by_id = {sp.span_id: sp for sp in rec.trace().ordered()}
-        batch = [sp for sp in spans_by_id.values()
-                 if sp.name == "engine.batch_contains"]
-        members = [sp for sp in spans_by_id.values()
-                   if sp.name == "engine.member"]
-        assert len(batch) == 1
-        assert len(members) == len(tuples)
-        for member in members:
-            assert member.parent_id is not None
-            ancestor = spans_by_id[member.parent_id]
-            while ancestor.parent_id is not None:
-                ancestor = spans_by_id[ancestor.parent_id]
-            assert ancestor is batch[0] or member.parent_id == batch[0].id
-            assert member.depth > batch[0].depth
 
 
 class TestRecorderThreadSafety:
