@@ -1,21 +1,25 @@
-"""E22 — process sharding beats the GIL on CPU-bound batch work.
+"""E22 — worker processes beat the GIL on coarse work.
 
-Claim: every membership test holds the GIL, so only processes run a
-batch on several cores; the process-pool
-:class:`~repro.engine.shard.ShardExecutor` runs shards on real cores.
-Measured, on an E15-style Rado membership batch (one open
-quantifier-free plan, a ``pool x pool`` probe grid, cold result cache
-per phase): wall time of the sequential path vs the process pool, with
-bit-for-bit answer agreement asserted between the two, plus a
-``ShardExecutor.eval_batch`` verdict-agreement check for the
+Claim: every oracle question holds the GIL, so only processes run CPU
+work on several cores, and they pay where the work is coarse — whole
+fuzz cases, not single plans or tuples.  Measured: wall time of the
+seeded check campaign (``run_check(seed=7, cases=500)``) in one worker
+process against the same campaign fanned across ``W`` worker
+processes (``python -m repro check --workers W``), with the two
+reports' ``summary``, ``kinds`` and ``failures`` asserted equal, plus
+a ``ShardExecutor.eval_batch`` verdict-agreement check for the
 ordered-merge path.
 
-Gate: ≥3x process-pool speedup over sequential with 4 workers (≥2x
-with 2 workers under ``--quick``) — **applied only when the machine
-has at least that many cores** (``os.cpu_count()``); sharding cannot
-beat the GIL on hardware that has nothing to run shards on, so
-single-core CI still asserts agreement and records the overhead ratio
-but does not fail the speedup gate.
+Both sides do the same oracle work.  Inside a worker process the
+``shard`` oracle runs inline (pools do not nest), so the one-worker
+baseline also runs its campaign in a worker process rather than in
+this one, where that oracle would start its own two-process pool.
+
+Gate: ≥3x speedup with 4 workers (≥2x with 2 workers under
+``--quick``) — **applied only when the machine has at least that many
+cores** (``os.cpu_count()``); processes cannot beat the GIL on
+hardware that has nothing to run them on, so small machines still
+assert agreement and record the ratio but do not fail the gate.
 
 Run under pytest (tier-2: ``pytest benchmarks/bench_e22_shard.py -s``)
 or as a script emitting the E22 JSON artifact::
@@ -24,14 +28,16 @@ or as a script emitting the E22 JSON artifact::
 """
 
 import json
+import multiprocessing
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
-from repro.engine import Engine, plan_from_formula, plan_from_sentence
+from repro.check.runner import run_check
+from repro.engine import Engine, plan_from_sentence
 from repro.engine.shard import ShardExecutor
 from repro.logic import parse
-from repro.logic import syntax as fo
 from repro.symmetric import rado_hsdb
 
 try:
@@ -43,10 +49,9 @@ except ImportError:  # script mode: benchmarks/ is not on sys.path
         for row in rows:
             print("   ", *row)
 
-#: The open probe plan: quantifier-free but oracle-bound — each
-#: membership canonicalizes paths and asks the structure oracle twice,
-#: which is exactly the CPU-under-the-GIL work E22 is about.
-PROBE_FORMULA = "R1(x, y) and not R1(y, x)"
+#: The campaign: the seed and size CI's fixed campaign runs.
+SEED = 7
+CASES = 500
 
 #: The E15 Rado sentence workload (bench_e15_engine.py), reused for
 #: the ``ShardExecutor.eval_batch`` ordered-merge agreement check.
@@ -61,84 +66,76 @@ RADO_WORKLOAD = [
 
 WORKERS = 4
 QUICK_WORKERS = 2
-POOL_SIZE = 100        # probe grid edge: POOL_SIZE^2 membership tests
-QUICK_POOL_SIZE = 40
 GATE = 3.0
 QUICK_GATE = 2.0
 
-
-def _workload(pool_size: int):
-    """The probe plan and tuple grid over a fresh Rado database."""
-    db = rado_hsdb()
-    plan = plan_from_formula(parse(PROBE_FORMULA),
-                             [fo.Var("x"), fo.Var("y")], db.signature)
-    pool = db.domain.first(pool_size)
-    tuples = [(x, y) for x in pool for y in pool]
-    return db, plan, tuples
+#: The report fields a ``--workers`` campaign must reproduce exactly.
+AGREEING_FIELDS = ("summary", "kinds", "failures")
 
 
-def measure(workers: int = WORKERS,
-            pool_size: int = POOL_SIZE) -> dict:
-    """The E22 measurement: sequential vs processes.
+def _timed_campaign(workers: int, cases: int) -> tuple[dict, float]:
+    """One seeded campaign's report and wall time, pool start included.
 
-    Every phase gets a fresh engine over a freshly built database
-    (Rado construction is deterministic, so the fingerprints — and
-    answers — are identical): the structure oracle's memo and the
-    result cache are both cold, so both paths pay for the same
-    work.  The process pool is started and warmed (workers build
-    their engines) before its timed phase, matching the serving
-    tier's steady state.
+    ``workers == 1`` runs :func:`run_check` in a single forkserver
+    worker process, the start method the ``--workers`` pool uses.
     """
-    db, plan, tuples = _workload(pool_size)
-
     t0 = time.perf_counter()
-    sequential = Engine(db).batch_contains(plan, tuples)
-    seq_s = time.perf_counter() - t0
+    if workers > 1:
+        result = run_check(SEED, cases, workers=workers)
+    else:
+        context = multiprocessing.get_context("forkserver")
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            result = pool.submit(run_check, SEED, cases).result()
+    return result, time.perf_counter() - t0
 
+
+def measure(workers: int = WORKERS, cases: int = CASES) -> dict:
+    """The E22 measurement: one worker process vs ``workers``.
+
+    The parallel campaign runs first, so it pays for starting the
+    forkserver and the baseline does not.
+    """
+    parallel, par_s = _timed_campaign(workers, cases)
+    sequential, seq_s = _timed_campaign(1, cases)
+    for field in AGREEING_FIELDS:
+        assert parallel[field] == sequential[field], (
+            f"--workers {workers} changed the campaign's {field!r}")
+
+    db = rado_hsdb()
+    plans = [plan_from_sentence(parse(s), db.signature)
+             for s in RADO_WORKLOAD]
+    seq_verdicts = [v.status for v in Engine(db).eval_batch(plans)]
     with ShardExecutor(workers) as executor:
-        executor.batch_contains(Engine(rado_hsdb()), plan,
-                                tuples[:workers * 2])
-        engine = Engine(rado_hsdb())
-        t0 = time.perf_counter()
-        sharded = executor.batch_contains(engine, plan, tuples)
-        shard_s = time.perf_counter() - t0
-
-        assert sharded == sequential, "process pool changed an answer"
-
-        # The ordered-merge eval path agrees too (same executor, so
-        # worker engine caches are already warm).
-        plans = [plan_from_sentence(parse(s), db.signature)
-                 for s in RADO_WORKLOAD]
-        eval_engine = Engine(db)
-        seq_verdicts = [v.status for v in eval_engine.eval_batch(plans)]
         shard_verdicts = [v.status for v in executor.eval_batch(
-            Engine(db), plans)]
-        assert shard_verdicts == seq_verdicts, (
-            f"eval_batch merge changed a verdict: {shard_verdicts!r} "
-            f"!= {seq_verdicts!r}")
+            Engine(rado_hsdb()), plans)]
+    assert shard_verdicts == seq_verdicts, (
+        f"eval_batch merge changed a verdict: {shard_verdicts!r} "
+        f"!= {seq_verdicts!r}")
 
     cpus = os.cpu_count() or 1
     return {
         "experiment": "E22",
-        "probe_formula": PROBE_FORMULA,
+        "seed": SEED,
+        "cases": cases,
         "workers": workers,
         "cpus": cpus,
-        "tuples": len(tuples),
+        "failures": len(sequential["failures"]),
         "sequential": {"seconds": seq_s},
-        "sharded": {"seconds": shard_s},
-        "process_speedup": seq_s / max(shard_s, 1e-9),
+        "sharded": {"seconds": par_s},
+        "process_speedup": seq_s / max(par_s, 1e-9),
         "eval_verdicts": seq_verdicts,
         "gate_applicable": cpus >= workers,
     }
 
 
 def _report(data: dict) -> None:
-    report("E22 process-sharded batch vs sequential (Rado probes)", [
-        ("tuples", data["tuples"],
-         f"{data['workers']} workers on {data['cpus']} cores"),
-        ("sequential", f"{data['sequential']['seconds'] * 1e3:.1f} ms",
-         ""),
-        ("process pool", f"{data['sharded']['seconds'] * 1e3:.1f} ms",
+    report("E22 check campaign: one worker process vs several", [
+        ("cases", data["cases"],
+         f"seed {data['seed']}, {data['workers']} workers on "
+         f"{data['cpus']} cores"),
+        ("1 worker", f"{data['sequential']['seconds']:.2f} s", ""),
+        (f"{data['workers']} workers",
+         f"{data['sharded']['seconds']:.2f} s",
          f"{data['process_speedup']:.2f}x"),
         ("gate", "applies" if data["gate_applicable"]
          else "skipped (too few cores)", ""),
@@ -146,11 +143,12 @@ def _report(data: dict) -> None:
 
 
 def test_e22_shard_agreement_and_speedup():
-    """Both batch paths agree bit for bit; the process pool beats the
-    ≥2x two-worker gate when two cores exist to run it on."""
-    data = measure(QUICK_WORKERS, QUICK_POOL_SIZE)
+    """Both campaigns report the same, the ordered merge agrees, and
+    the processes beat the ≥2x two-worker gate when two cores exist
+    to run them on."""
+    data = measure(QUICK_WORKERS)
     _report(data)
-    # measure() asserted the bit-for-bit agreements internally.
+    # measure() asserted the report and verdict agreements internally.
     assert len(data["eval_verdicts"]) == len(RADO_WORKLOAD)
     if data["gate_applicable"]:
         assert data["process_speedup"] >= QUICK_GATE, (
@@ -172,7 +170,7 @@ def main(argv: list[str]) -> int:
             return 2
     workers = QUICK_WORKERS if quick else WORKERS
     gate = QUICK_GATE if quick else GATE
-    data = measure(workers, QUICK_POOL_SIZE if quick else POOL_SIZE)
+    data = measure(workers)
     data["gate"] = gate
     data["passed"] = (data["process_speedup"] >= gate
                       if data["gate_applicable"] else True)

@@ -50,10 +50,9 @@ Commands
     default catalog is served.  ``--store=DB`` attaches a durable
     sqlite store (``repro.store``): persisted results load at startup
     so restarts serve warm, and new verdicts write through (see
-    ``docs/persistence.md``).  With ``[server] workers > 1`` batch
-    misses fan out across a process-pool shard executor
-    (``docs/sharding.md``).  ``--print-config`` dumps the effective
-    config as JSON and exits.
+    ``docs/persistence.md``).  ``[server] workers`` sizes the serve
+    thread pool; batches run in-process, one member at a time.
+    ``--print-config`` dumps the effective config as JSON and exits.
 ``ingest MANIFEST --store=DB [--workers=N] [--budget-steps=B] [--no-optimize]``
     Bulk-build a catalog into a durable store (``repro.store.ingest``):
     every database in the JSON manifest is constructed, fingerprinted,

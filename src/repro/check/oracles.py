@@ -40,10 +40,10 @@ The oracles:
 ``shard``
     Sequential == process-pool: the
     :class:`~repro.engine.shard.ShardExecutor` ships the case's
-    database spec and plan to worker processes, and the merged
-    verdict/answers must agree with the in-process paths modulo
-    ``UNKNOWN`` (one lazily started two-worker pool is shared by the
-    whole campaign).
+    database spec and serializable route plans to worker processes,
+    and the merged verdicts must agree with the in-process routes
+    modulo ``UNKNOWN`` (one lazily started two-worker pool is shared
+    by the whole campaign; a ``--workers`` campaign runs it inline).
 """
 
 from __future__ import annotations
@@ -131,6 +131,7 @@ class CaseContext:
             self.fcf_db = None
             self.hsdb = builtin_hsdb(case.db)
         self.variables = tuple(fo.Var(n) for n in case.variables)
+        self._plans: dict | None = None
         self._routes: dict[str, RouteResult] | None = None
 
     # -- engines -------------------------------------------------------------
@@ -178,6 +179,21 @@ class CaseContext:
 
     # -- the frontend routes -------------------------------------------------
 
+    def plans(self) -> dict:
+        """The case's engine plans, route name → plan (memoized):
+        :func:`~repro.engine.frontends.lower_all` over every applicable
+        frontend."""
+        if self._plans is None:
+            if self.case.query_kind == "formula":
+                self._plans = lower_all(self.query, self.hsdb.signature,
+                                        variables=self.variables,
+                                        include_gmhs=self.case.gmhs)
+            else:
+                self._plans = lower_all(
+                    self.query, self.hsdb.signature,
+                    include_qlf=self.fcf_db is not None)
+        return self._plans
+
     def routes(self) -> dict[str, RouteResult]:
         """Every applicable frontend's answer to this case (memoized)."""
         if self._routes is None:
@@ -191,15 +207,11 @@ class CaseContext:
 
         if case.query_kind == "formula":
             out["direct-fo"] = self._direct_fo(want_members)
-            plans = lower_all(self.query, self.hsdb.signature,
-                              variables=self.variables,
-                              include_gmhs=case.gmhs)
         else:
             out["qlf-direct"] = self._direct_qlf(want_members)
             out["qlhs-direct"] = self._direct_qlhs(want_members)
-            plans = lower_all(self.query, self.hsdb.signature,
-                              include_qlf=self.fcf_db is not None)
 
+        plans = self.plans()
         hs_engine = self.hs_engine()
         fcf_engine = (self.fcf_engine()
                       if any(r in plans for r in FCF_ROUTES) else None)
@@ -550,66 +562,54 @@ def _shard_executor():
 
 
 def shard(ctx: CaseContext) -> OracleOutcome:
-    """Process-pool execution must agree with in-process, bit for bit.
+    """Plans shipped to worker processes must agree with in-process.
 
-    Two routes answer the case's primary plan: the sequential engine
-    and the process-pool sharded executor; verdicts compare modulo
-    ``UNKNOWN`` and probe memberships bit for bit.  Skips when no
-    shippable spec exists and when the plan cannot serialize —
-    exactly the fallbacks ``docs/sharding.md`` documents.
+    The serializable engine routes on the primary plan's database view
+    (the :meth:`~CaseContext.plans` entries that run on it, but GMhs's
+    :class:`~repro.engine.plan.MachineFixpoint`) go through
+    :meth:`ShardExecutor.eval_batch
+    <repro.engine.shard.ShardExecutor.eval_batch>` on a fresh engine,
+    and each shipped verdict must agree modulo ``UNKNOWN`` with the
+    same route's in-process verdict (:meth:`CaseContext.routes`).
+    ``eval_batch`` keeps a batch of one in-process, so a lone route
+    ships twice.  Skips when no shippable spec exists.
     """
+    from ..engine.plan import MachineFixpoint
     from ..engine.shard import UnshardableDatabaseError, derive_spec
-    from ..store.codec import UnserializablePlanError
 
     case = ctx.case
-    plan = _primary_plan(ctx)
-    if plan is None:
-        return OracleOutcome("shard", SKIP, "no engine plan")
-    engine = _engine_for_plan(ctx)
     try:
         spec = derive_spec(ctx.fcf_db if ctx.fcf_db is not None
-                           else engine.db)
+                           else ctx.hsdb)
     except UnshardableDatabaseError as exc:
         return OracleOutcome("shard", SKIP, str(exc))
-    executor = _shard_executor()
-
+    plans = ctx.plans()
+    fcf_view = _fcf_primary(ctx)
+    names = [name for name, plan in plans.items()
+             if (name in FCF_ROUTES) == fcf_view
+             and not isinstance(plan, MachineFixpoint)]
+    if len(names) == 1:
+        names *= 2
+    engine = ctx.fcf_engine() if fcf_view else ctx.hs_engine()
     try:
-        sequential = _engine_eval(engine, plan)
-        sharded = executor.eval_batch(engine, [plan], spec=spec)[0]
-    except UnserializablePlanError:
-        return OracleOutcome("shard", SKIP, "plan not serializable")
+        shipped = _shard_executor().eval_batch(
+            engine, [plans[name] for name in names], spec=spec)
     except RepresentationError:
         return OracleOutcome("shard", UNKNOWN, UNREPRESENTABLE)
-    if sharded.conflicts(sequential):
-        return OracleOutcome(
-            "shard", FAIL,
-            f"process pool says {sharded.status.upper()}, sequential "
-            f"says {sequential.status.upper()} on {case.describe()}")
-
-    if case.probes:
-        try:
-            seq_members = engine.batch_contains(plan, case.probes)
-            fresh = Engine(engine.db, budget=ctx.budget(),
-                           optimize=engine.optimize,
-                           compiled=engine.compiled)
-            sharded_members = executor.batch_contains(
-                fresh, plan, case.probes, spec=spec)
-        except OutOfFuel:
-            return OracleOutcome("shard", UNKNOWN, "budget tripped")
-        except (UnserializablePlanError, RepresentationError) as exc:
-            status = (SKIP if isinstance(exc, UnserializablePlanError)
-                      else UNKNOWN)
-            return OracleOutcome("shard", status, type(exc).__name__)
-        if sharded_members != seq_members:
-            diffs = [u for u, a, b in zip(case.probes, seq_members,
-                                          sharded_members) if a != b]
+    routes = ctx.routes()
+    decisive = False
+    for name, verdict in zip(names, shipped):
+        local = routes[f"engine-{name}"].verdict
+        if verdict.conflicts(local):
             return OracleOutcome(
                 "shard", FAIL,
-                f"process pool membership differs from sequential on "
-                f"{diffs!r} for {case.describe()}")
-
-    if sequential.is_unknown and sharded.is_unknown:
-        return OracleOutcome("shard", UNKNOWN, "both routes abstained")
+                f"process pool says {verdict.status.upper()}, in-process "
+                f"says {local.status.upper()} on route {name} of "
+                f"{case.describe()}")
+        decisive = decisive or not (verdict.is_unknown
+                                    and local.is_unknown)
+    if not decisive:
+        return OracleOutcome("shard", UNKNOWN, "both sides abstained")
     return OracleOutcome("shard", OK)
 
 
@@ -619,37 +619,25 @@ def shard(ctx: CaseContext) -> OracleOutcome:
 
 def _hs_plan(ctx: CaseContext):
     """The case's plan over the hs view, where the optimizer acts."""
-    case = ctx.case
-    if case.query_kind == "formula":
-        from ..engine import plan_from_formula
-        return plan_from_formula(ctx.query, list(ctx.variables),
-                                 ctx.hsdb.signature)
-    plans = lower_all(ctx.query, ctx.hsdb.signature)
-    return plans.get("qlhs") or plans.get("fo")
+    plans = ctx.plans()
+    return plans["fo"] if ctx.case.query_kind == "formula" else plans["qlhs"]
+
+
+def _fcf_primary(ctx: CaseContext) -> bool:
+    """Whether the primary plan runs on the fcf view (a QLf+ route)."""
+    return any(name in ctx.plans() for name in FCF_ROUTES)
+
 
 def _primary_plan(ctx: CaseContext):
     """The one engine plan metamorphic oracles re-evaluate."""
-    case = ctx.case
-    if case.query_kind == "formula":
-        from ..engine import plan_from_formula
-        return plan_from_formula(ctx.query, list(ctx.variables),
-                                 ctx.hsdb.signature)
-    plans = lower_all(ctx.query, ctx.hsdb.signature,
-                      include_qlf=ctx.fcf_db is not None)
-    for name in FCF_ROUTES:
-        if name in plans:
-            return plans[name]
-    return plans.get("fo") or plans.get("qlhs")
+    plans = ctx.plans()
+    return next(plans[name] for name in (*FCF_ROUTES, "fo", "qlhs")
+                if name in plans)
 
 
 def _engine_for_plan(ctx: CaseContext) -> Engine:
     """An engine over the database the primary plan executes on."""
-    case = ctx.case
-    if case.query_kind != "formula" and ctx.fcf_db is not None:
-        plans = lower_all(ctx.query, ctx.hsdb.signature, include_qlf=True)
-        if any(r in plans for r in FCF_ROUTES):
-            return ctx.fcf_engine()
-    return ctx.hs_engine()
+    return ctx.fcf_engine() if _fcf_primary(ctx) else ctx.hs_engine()
 
 
 #: The oracle battery, in run order, with the case kinds they apply to.

@@ -28,12 +28,13 @@ GMhs), built from:
 * :mod:`repro.engine.stats` — :class:`EngineStats` snapshots
   (oracle questions, cache traffic, per-node timings, wall time,
   verdict counts);
-* :mod:`repro.engine.shard` — the multi-process sharded executor
-  (:class:`ShardExecutor` / the shared :class:`WorkerPool`): batch
-  work partitioned by fingerprint shard across worker processes, with
-  ordered merge and exact budget/stats/span re-aggregation at the
-  join (``docs/sharding.md``); the one parallel batch path, reached
-  as ``ShardExecutor(N).eval_batch(engine, plans)``.
+* :mod:`repro.engine.shard` — multi-process execution: the shared
+  :class:`WorkerPool` fans coarse work (check campaigns, ingest)
+  across processes, and ``ShardExecutor(N).eval_batch(engine,
+  plans)`` ships plans by fingerprint shard, with ordered merge and
+  exact budget/stats/span re-aggregation at the join.  Serving and
+  membership batches stay in-process, where they measured faster
+  (``docs/sharding.md``).
 
 Quick use::
 

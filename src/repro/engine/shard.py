@@ -1,24 +1,32 @@
-"""Multi-process sharded execution: beating the GIL on batch work.
+"""Multi-process execution: plans and coarse work shipped to workers.
 
-Every membership test and every fixpoint iteration is CPU work that
-holds the GIL (a run of ``≅_B`` oracle questions, Definition 2.4), so
-threads cannot run a batch on more than one core; the
-:class:`~repro.engine.executor.Engine` is sequential, and this module
-is the one code path that runs a batch in parallel — across
-processes.  The architecture is the paper's own completeness argument
-turned into systems leverage: the four frontends provably compute one
-semantics, results are keyed by structural database *fingerprint*
-(genericity, Definition 2.4), and plans have a content-hash identity
-(:mod:`repro.store.codec`) — so work can be shipped to another process
-and the answers merged back with bit-for-bit confidence, checkable by
-the existing differential oracles.
+Every fixpoint iteration is CPU work that holds the GIL (a run of
+``≅_B`` oracle questions, Definition 2.4), so threads cannot run it on
+more than one core; the :class:`~repro.engine.executor.Engine` is
+sequential, and this module is the one code path that runs work in
+parallel — across processes.  The architecture is the paper's own
+completeness argument turned into systems leverage: the four frontends
+provably compute one semantics, results are keyed by structural
+database *fingerprint* (genericity, Definition 2.4), and plans have a
+content-hash identity (:mod:`repro.store.codec`) — so work can be
+shipped to another process and the answers merged back with
+bit-for-bit confidence, checkable by the existing differential
+oracles.
 
-Architecture (``docs/sharding.md``):
+Processes pay only for coarse work: :class:`WorkerPool` fans whole
+check campaigns (``python -m repro check --workers N``) and whole
+databases (:mod:`repro.store.ingest`) across processes.  Per-request
+shipping lost to in-process loops on a 2-vCPU host, so the serving
+tier does not shard and membership batches are not sharded
+(``docs/sharding.md``).  :meth:`ShardExecutor.eval_batch` remains as
+the plan-shipping path the ``shard`` oracle and stress hammer check.
+
+Architecture of :meth:`ShardExecutor.eval_batch`:
 
 * **Shard key** — :func:`shard_index` hashes ``(database fingerprint,
-  member payload)`` with SHA-256 and reduces modulo the worker count.
-  Deterministic and content-based: the same batch shards the same way
-  in every process, on every run.
+  canonical plan text)`` with SHA-256 and reduces modulo the worker
+  count.  Deterministic and content-based: the same batch shards the
+  same way in every process, on every run.
 * **Serialization boundary** — plans cross as
   :func:`~repro.store.codec.canonical_plan_text`, databases as the
   declarative :class:`~repro.serve.config.DatabaseSpec` JSON entry
@@ -31,8 +39,8 @@ Architecture (``docs/sharding.md``):
   :class:`~repro.engine.cache.EngineCache` and one engine per
   ``(spec, view, optimize, compiled)``; it verifies the rebuilt
   database's fingerprint against the coordinator's before answering.
-* **The join** — verdicts/answers merge in request order (ordered
-  merge), worker budget counters are re-aggregated exactly onto the
+* **The join** — verdicts merge in request order (ordered merge),
+  worker budget counters are re-aggregated exactly onto the
   coordinator's per-shard :meth:`~repro.trace.Budget.fork` via
   :meth:`~repro.trace.Budget.absorb`, worker stats fold in through
   :meth:`MutableEngineStats.absorb
@@ -44,13 +52,6 @@ Architecture (``docs/sharding.md``):
   :class:`~repro.engine.plan.MachineFixpoint`) is evaluated locally
   while its batch-mates still fan out.  Either way each local member
   runs under the same budget a worker would give it.
-
-Entry points: ``ShardExecutor(N).eval_batch(engine, plans)`` /
-``ShardExecutor(N).batch_contains(engine, plan, tuples)``,
-``python -m repro check --workers N``, and the serving tier's
-``[server] workers`` knob.
-:class:`WorkerPool` is the shared pool/shipping substrate
-(:mod:`repro.store.ingest` fans out over it too).
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 
-from ..errors import OutOfFuel, RepresentationError, TypeSignatureError
-from ..trace import Budget, limits, span
+from ..errors import RepresentationError, TypeSignatureError
+from ..trace import Budget, span
 from ..trace.spans import active_recorder, current_span, replay_records
 
 __all__ = [
@@ -91,8 +92,7 @@ class UnshardableDatabaseError(TypeSignatureError):
 
     Raised by :func:`derive_spec` when a live database is neither a
     known builtin nor an fcf-r-db; callers with a declarative spec
-    (the serving catalog, the ingest pipeline) pass ``spec=``
-    explicitly instead, or evaluate in-process with
+    pass ``spec=`` explicitly instead, or evaluate in-process with
     :meth:`Engine.eval_batch <repro.engine.executor.Engine.eval_batch>`.
     """
 
@@ -112,8 +112,7 @@ def shard_index(fingerprint: str, payload: str, shards: int) -> int:
     SHA-256 over ``(database fingerprint, member payload)`` reduced
     modulo the shard count — a pure function of content, so the same
     member lands on the same shard in every process and every run
-    (``payload`` is the member's canonical plan text, plus the tuple
-    rendering for membership batches).
+    (``payload`` is the member's canonical plan text).
     """
     digest = hashlib.sha256(
         f"{fingerprint}\x1f{payload}".encode("utf-8")).digest()
@@ -162,7 +161,7 @@ def _mp_context():
 
     ``forkserver`` where available (Linux, macOS): children fork from a
     clean single-threaded server process, so pools are safe to start
-    from threaded parents (the serving tier, the stress hammers) — the
+    from threaded parents (the stress hammers) — the
     classic fork-with-threads deadlock cannot happen — and, with this
     module preloaded into the server, each worker forks already warm.
     ``spawn`` elsewhere.
@@ -189,8 +188,8 @@ class WorkerPool:
     protocol keeps them JSON-safe); submitted callables must be
     importable module-level functions.
 
-    Thread-safe: many threads may submit concurrently (the serving
-    tier does).  The underlying :class:`ProcessPoolExecutor` starts on
+    Thread-safe: many threads may submit concurrently (the shard stress
+    hammer does).  The underlying :class:`ProcessPoolExecutor` starts on
     first parallel use and is shut down by :meth:`close` (also a
     context manager).
     """
@@ -316,58 +315,31 @@ def _run_task(task: dict) -> dict:
                 f"worker rebuilt database {task['name']!r} with "
                 f"fingerprint {engine.fingerprint[:12]}…, coordinator "
                 f"has {task['fingerprint'][:12]}…")
-        shipped = task.get("budget")
-        template = (Budget.from_shipped(shipped) if shipped is not None
-                    else Budget(max_steps=task["budget_steps"]))
+        template = Budget.from_shipped(task["budget"])
         engine.reset_stats()
-        payload: dict = {"ok": True}
-        if task["kind"] == "eval":
-            verdicts, member_steps, member_calls = [], [], []
-            with span("engine.shard_task", kind="eval",
-                      members=len(task["plans"])) as sp:
-                for text in task["plans"]:
-                    plan = plan_from_json(json.loads(text))
-                    member = template.fork()
-                    try:
-                        verdict = engine.eval(plan, budget=member)
-                    except RepresentationError as exc:
-                        # Exception parity with the sequential path:
-                        # ship the failure, let the coordinator re-raise.
-                        verdicts.append({"error": "representation",
-                                         "detail": str(exc)})
-                    else:
-                        verdicts.append(verdict_to_json(verdict))
-                    member_steps.append(member.steps)
-                    member_calls.append(member.oracle_calls)
-                sp.count("steps", sum(member_steps))
-            payload.update(verdicts=verdicts, member_steps=member_steps,
-                           member_oracle_calls=member_calls,
-                           steps=sum(member_steps),
-                           oracle_calls=sum(member_calls))
-        else:  # kind == "contains"
-            plan = plan_from_json(json.loads(task["plan"]))
-            requests = [tuple(u) for u in task["tuples"]]
-            run = template.fork()
-            raised: dict | None = None
-            answers: list = []
-            with span("engine.shard_task", kind="contains",
-                      members=len(requests)) as sp:
+        verdicts, member_steps, member_calls = [], [], []
+        with span("engine.shard_task", members=len(task["plans"])) as sp:
+            for text in task["plans"]:
+                plan = plan_from_json(json.loads(text))
+                member = template.fork()
                 try:
-                    answers = engine.batch_contains(plan, requests,
-                                                    budget=run)
-                except OutOfFuel as exc:
-                    raised = {"type": "OutOfFuel", "reason": exc.reason,
-                              "steps": exc.steps, "detail": str(exc)}
+                    verdict = engine.eval(plan, budget=member)
                 except RepresentationError as exc:
-                    raised = {"type": "RepresentationError",
-                              "detail": str(exc)}
-                sp.count("steps", run.steps)
-            payload.update(answers=[bool(a) for a in answers],
-                           steps=run.steps,
-                           oracle_calls=run.oracle_calls)
-            if raised is not None:
-                payload["raises"] = raised
-        payload["stats"] = engine.stats().to_dict()
+                    # Exception parity with the sequential path: ship
+                    # the failure, let the coordinator re-raise.
+                    verdicts.append({"error": "representation",
+                                     "detail": str(exc)})
+                else:
+                    verdicts.append(verdict_to_json(verdict))
+                member_steps.append(member.steps)
+                member_calls.append(member.oracle_calls)
+            sp.count("steps", sum(member_steps))
+        payload = {"ok": True, "verdicts": verdicts,
+                   "member_steps": member_steps,
+                   "member_oracle_calls": member_calls,
+                   "steps": sum(member_steps),
+                   "oracle_calls": sum(member_calls),
+                   "stats": engine.stats().to_dict()}
     if recorder is not None:
         payload["spans"] = [s.to_record(epoch)
                             for s in recorder.trace().ordered()]
@@ -383,13 +355,8 @@ class ShardExecutor:
     ----------
     workers:
         Worker-process count (default: the CPU count).  ``workers <= 1``
-        makes every method run in-process — the executor is then a
-        zero-cost pass-through.
-    budget_steps:
-        The step allowance of one shipped batch member when no budget
-        template is supplied (:data:`repro.trace.limits.SHARD_TASK`);
-        entry points that own a budget (the engine, the serving tier)
-        ship a :meth:`~repro.trace.Budget.ship` template instead.
+        makes :meth:`eval_batch` run in-process — the executor is then
+        a zero-cost pass-through.
 
     One executor serves any number of databases — tasks carry their
     spec, and worker processes cache engines per spec.  Thread-safe,
@@ -399,11 +366,9 @@ class ShardExecutor:
     which is what keeps worker caches warm.
     """
 
-    def __init__(self, workers: int | None = None, *,
-                 budget_steps: int = limits.SHARD_TASK):
+    def __init__(self, workers: int | None = None):
         self.pool = WorkerPool(workers)
         self.workers = self.pool.workers
-        self.budget_steps = budget_steps
 
     def close(self) -> None:
         """Release the worker processes (idempotent)."""
@@ -417,19 +382,17 @@ class ShardExecutor:
 
     # -- dispatch helpers ----------------------------------------------------
 
-    def _task(self, engine, spec: dict, *, kind: str,
-              budget: Budget | None, trace: bool) -> dict:
+    def _task(self, engine, spec: dict, *, budget: Budget,
+              trace: bool) -> dict:
         view = "fcf" if not engine.is_hs else "hs"
         return {
-            "kind": kind,
             "name": spec["name"],
             "entry": json.dumps(spec["entry"], sort_keys=True),
             "view": view,
             "fingerprint": engine.fingerprint,
             "optimize": engine.optimize,
             "compiled": engine.compiled,
-            "budget": budget.ship() if budget is not None else None,
-            "budget_steps": self.budget_steps,
+            "budget": budget.ship(),
             "trace": trace,
         }
 
@@ -463,9 +426,8 @@ class ShardExecutor:
         member's parallelism, never the batch's.  When fewer than two
         members can ship, the whole batch evaluates in-process.
 
-        ``member_budgets`` (one coordinator :class:`Budget` per plan,
-        the serving tier's per-member tenant forks) receives each
-        member's consumed steps/oracle calls via
+        ``member_budgets`` (one coordinator :class:`Budget` per plan)
+        receives each member's consumed steps/oracle calls via
         :meth:`~repro.trace.Budget.absorb`, so quota accounting is
         exact across the process boundary.  A member evaluated
         in-process runs under its ``member_budgets`` slot directly, or
@@ -520,8 +482,8 @@ class ShardExecutor:
             base = time.monotonic()
             for positions in shards.values():
                 shard_budget = template.fork()
-                task = self._task(engine, spec, kind="eval",
-                                  budget=shard_budget, trace=trace)
+                task = self._task(engine, spec, budget=shard_budget,
+                                  trace=trace)
                 task["plans"] = [texts[pos] for pos in positions]
                 dispatched.append((positions, shard_budget,
                                    self.pool.submit(_worker_main, task)))
@@ -555,102 +517,3 @@ class ShardExecutor:
             if failed is not None:
                 raise RepresentationError(failed["detail"])
         return results
-
-    # -- membership batches --------------------------------------------------
-
-    def batch_contains(self, engine, plan, tuples, *,
-                       spec: dict | None = None,
-                       budget: Budget | None = None) -> list:
-        """Answer many membership questions across the worker pool.
-
-        The process-pool twin of :meth:`Engine.batch_contains
-        <repro.engine.executor.Engine.batch_contains>`: the
-        coordinator probes its result cache first (warm answers never
-        ship), partitions the misses by :func:`shard_index` over
-        ``(plan text, tuple)``, and each worker evaluates the plan once
-        (its private cache keeps it warm across batches) and answers
-        its tuples sequentially.  Answers merge in request order and
-        are written back into the coordinator's result cache under the
-        same keys the sequential path uses — so a sharded batch warms
-        the cache for everyone, bit for bit.
-
-        ``budget`` is the batch budget (default: a fork of the engine
-        budget); every shard runs under its own worker-side fork of it
-        and the consumed counters are re-aggregated exactly at the
-        join.  Raises :class:`UnshardableDatabaseError` /
-        :class:`~repro.store.codec.UnserializablePlanError` when the
-        database or the plan cannot ship.
-        """
-        from ..store.codec import canonical_plan_text
-        from .cache import ResultCache
-
-        requests = [tuple(u) for u in tuples]
-        spec = spec if spec is not None else derive_spec(engine.db)
-        prepared = engine.prepare(plan)
-        text = canonical_plan_text(prepared)
-        run = budget if budget is not None else engine.budget.fork()
-
-        answers: list = [None] * len(requests)
-        pending: list[int] = []
-        results_cache = engine.cache.results
-        missing = object()
-        for pos, u in enumerate(requests):
-            key = ResultCache.key(engine.fingerprint, prepared,
-                                  ("contains", u))
-            hit = results_cache.get(key, missing)
-            if hit is missing:
-                pending.append(pos)
-            else:
-                answers[pos] = hit
-
-        nshards = min(self.workers, len(pending))
-        if nshards <= 1:
-            return engine.batch_contains(plan, requests, budget=run)
-
-        shards: dict[int, list[int]] = {}
-        for pos in pending:
-            shard = shard_index(engine.fingerprint,
-                                f"{text}\x1f{requests[pos]!r}", nshards)
-            shards.setdefault(shard, []).append(pos)
-
-        trace = active_recorder() is not None
-        with span("engine.batch_contains", requests=len(requests),
-                  workers=len(shards)) as sp:
-            parent = current_span()
-            dispatched = []
-            base = time.monotonic()
-            for positions in shards.values():
-                task = self._task(engine, spec, kind="contains",
-                                  budget=run, trace=trace)
-                task["plan"] = text
-                task["tuples"] = [list(requests[pos])
-                                  for pos in positions]
-                dispatched.append((positions,
-                                   self.pool.submit(_worker_main, task)))
-            raised: dict | None = None
-            for positions, future in dispatched:
-                payload = self._join(future)
-                run.absorb(steps=payload["steps"],
-                           oracle_calls=payload["oracle_calls"])
-                self._absorb_worker(engine, payload)
-                if trace and payload.get("spans"):
-                    replay_records(payload["spans"], parent,
-                                   base_start=base)
-                sp.count("steps", payload["steps"])
-                if payload.get("raises") is not None:
-                    raised = raised or payload["raises"]
-                    continue
-                for pos, answer in zip(positions, payload["answers"]):
-                    answers[pos] = answer
-                    key = ResultCache.key(engine.fingerprint, prepared,
-                                          ("contains", requests[pos]))
-                    results_cache.put(key, answer)
-            if raised is not None:
-                # Exception parity with the sequential path (after
-                # every shard joins, so accounting stays exact).
-                if raised["type"] == "OutOfFuel":
-                    raise OutOfFuel(raised["detail"],
-                                    steps=raised["steps"],
-                                    reason=raised["reason"])
-                raise RepresentationError(raised["detail"])
-        return answers

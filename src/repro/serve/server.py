@@ -42,7 +42,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..engine import EngineCache
 from ..engine.verdict import Verdict
-from ..errors import RepresentationError
 from ..trace import TraceRecorder, span
 from ..trace.spans import active_recorder, install
 from .catalog import FRONTENDS, Catalog, QueryError
@@ -101,14 +100,6 @@ class ServeApp:
         self.pool = ThreadPoolExecutor(
             max_workers=self.config.workers,
             thread_name_prefix="repro-serve")
-        # [server] workers > 1 also turns on the process-pool sharded
-        # batch path (docs/sharding.md): /eval_batch misses fan out
-        # across worker processes instead of running the GIL-bound
-        # loop on one serve thread.
-        self.shards = None
-        if self.config.workers > 1:
-            from ..engine.shard import ShardExecutor
-            self.shards = ShardExecutor(self.config.workers)
         self.started_at = time.monotonic()
         self.requests_seen = 0
         self._counter_lock = threading.Lock()
@@ -141,8 +132,6 @@ class ServeApp:
             self._started = False
         self.tenants.cancel_all()
         self.pool.shutdown(wait=False, cancel_futures=True)
-        if self.shards is not None:
-            self.shards.close()
         if self.store is not None:
             self.store.snapshot_cache(self.catalog.cache)
             self.store.close()
@@ -331,12 +320,6 @@ class ServeApp:
         ``UNKNOWN`` while the rest still answer.  A member that fails
         to *compile* yields an error line for its index and the batch
         continues.
-
-        With ``[server] workers > 1`` the batch is process-sharded
-        (:meth:`_batch_sharded`): lines still arrive in request order,
-        but only after the shards join, and each member's consumed
-        fuel is absorbed back into its tenant fork so quota accounting
-        is identical to the sequential path.
         """
         database, frontend, tenant, queries = self._eval_fields(
             request, batch=True)
@@ -347,8 +330,6 @@ class ServeApp:
         def emit(item) -> None:
             loop.call_soon_threadsafe(queue.put_nowait, item)
 
-        sharded = self.shards is not None and len(queries) > 1
-
         def work() -> None:
             members: list = []
             statuses: list[str] = []
@@ -356,10 +337,9 @@ class ServeApp:
                 with span("serve.request", endpoint="/eval_batch",
                           tenant=tenant.name, database=database,
                           frontend=frontend, size=len(queries)) as sp:
-                    run = (self._batch_sharded if sharded
-                           else self._batch_sequential)
-                    run(database, frontend, queries, budget,
-                        members, statuses, emit)
+                    self._batch_sequential(database, frontend, queries,
+                                           budget, members, statuses,
+                                           emit)
                     sp.count("steps", sum(m.steps for m in members))
             finally:
                 tenant.settle(budget, *members, verdicts=statuses)
@@ -403,72 +383,6 @@ class ServeApp:
             line["wall_us"] = int((time.perf_counter() - t0) * 1e6)
             emit(line)
 
-    def _batch_sharded(self, database: str, frontend: str,
-                       queries: list, budget, members: list,
-                       statuses: list, emit) -> None:
-        """The process-pool batch path behind ``[server] workers``.
-
-        Compilation and store replay stay on the coordinator (the
-        compile memo and the durable store are coordinator state); the
-        misses ship to the :class:`~repro.engine.shard.ShardExecutor`
-        as **one** eval batch, with each member's tenant fork passed as
-        its ``member_budgets`` slot so the worker-side counters land
-        on exactly the budget ``tenant.settle`` will read.  Fresh
-        verdicts write through to the store at the join, and every
-        line is emitted in request order afterwards.  Any pool-side
-        operational failure degrades to in-process evaluation — a
-        broken pool must never turn into a client-visible error the
-        sequential path would not have produced.
-        """
-        lines: list[dict] = []
-        pending: list[int] = []
-        plans: list = []
-        engine = None
-        for index, text in enumerate(queries):
-            line = {"index": index}
-            member = budget.fork()
-            members.append(member)
-            t0 = time.perf_counter()
-            verdict = None
-            try:
-                engine, plan = self.catalog.compile(database, frontend,
-                                                    text)
-                verdict = self._store_replay(engine, plan, member)
-            except QueryError as exc:
-                line.update(error=exc.code, detail=exc.detail)
-            else:
-                if verdict is not None:
-                    statuses.append(verdict.status)
-                    line.update(verdict_payload(verdict))
-                else:
-                    pending.append(index)
-                    plans.append(plan)
-            line["wall_us"] = int((time.perf_counter() - t0) * 1e6)
-            lines.append(line)
-        if pending:
-            spec = {"name": database,
-                    "entry": self.catalog.spec(database).to_dict()}
-            t0 = time.perf_counter()
-            try:
-                verdicts = self.shards.eval_batch(
-                    engine, plans, spec=spec, budget=budget,
-                    member_budgets=[members[i] for i in pending])
-            except RepresentationError:
-                raise  # exception parity with the sequential path
-            except Exception:  # noqa: BLE001 - degrade, don't 500
-                verdicts = [engine.eval(plans[k], budget=members[i])
-                            for k, i in enumerate(pending)]
-            wall = int((time.perf_counter() - t0) * 1e6)
-            for k, index in enumerate(pending):
-                verdict = verdicts[k]
-                self._store_write(engine, plans[k], verdict,
-                                  members[index])
-                statuses.append(verdict.status)
-                lines[index].update(verdict_payload(verdict))
-                lines[index]["wall_us"] += wall
-        for line in lines:
-            emit(line)
-
     # -- observability endpoints --------------------------------------------
 
     def stats(self) -> dict:
@@ -491,8 +405,6 @@ class ServeApp:
                 "uptime_s": time.monotonic() - self.started_at,
                 "requests": self.requests_seen,
                 "workers": self.config.workers,
-                "shard_workers": (self.shards.workers
-                                  if self.shards is not None else 1),
                 "built": self.catalog.built(),
             },
             "global": {**totals, "shared_cache": catalog["shared_cache"]},

@@ -40,7 +40,6 @@ OPTIMIZER_PASSES = 12
 CHECK_CASE = 200_000
 SERVE_REQUEST = 2_000_000
 INGEST_DB = 5_000_000
-SHARD_TASK = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -138,11 +137,4 @@ REGISTRY: tuple[LimitSpec, ...] = (
         "budget_steps", INGEST_DB,
         "one interpreter operation of one warm-up query of one database",
         "the query persists as UNKNOWN(out_of_fuel) in its budget class"),
-    LimitSpec(
-        "repro.engine.shard.ShardExecutor",
-        "budget_steps", SHARD_TASK,
-        "one interpreter operation of one shipped batch member in a "
-        "worker process",
-        "the member's verdict is UNKNOWN(reason); the ordered merge "
-        "still completes"),
 )

@@ -149,6 +149,28 @@ class TestShardOracle:
         outcome = oracles.shard(CaseContext(TAUTOLOGY))
         assert outcome.status == oracles.SKIP
 
+    def test_verdicts_cross_the_process_boundary(self, monkeypatch):
+        """One oracle call ships at least one batch of plans to the
+        pool's worker processes, rather than answering in-process, on
+        either database view."""
+        from repro.engine.shard import WorkerPool
+
+        shipped = []
+        real_submit = WorkerPool.submit
+
+        def spy(pool, fn, *args):
+            if pool.parallel:
+                shipped.extend(args)
+            return real_submit(pool, fn, *args)
+
+        monkeypatch.setattr(WorkerPool, "submit", spy)
+        for case, view in ((TAUTOLOGY, "hs"), (INTERSECTION, "fcf")):
+            shipped.clear()
+            outcome = oracles.shard(CaseContext(case))
+            assert outcome.status == OK
+            assert any("plans" in task and task["view"] == view
+                       for task in shipped), view
+
     def test_catches_a_lying_pool(self, monkeypatch):
         """A process pool that flips verdicts must FAIL the oracle."""
         from repro.engine.verdict import Verdict

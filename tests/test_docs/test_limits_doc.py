@@ -103,8 +103,3 @@ class TestLiveDefaultsMatchRegistry:
         signature = inspect.signature(ingest_manifest)
         assert (signature.parameters["budget_steps"].default
                 == limits.INGEST_DB)
-
-    def test_shard_executor_default(self):
-        from repro.engine.shard import ShardExecutor
-        executor = ShardExecutor(1)     # workers=1 never forks a pool
-        assert executor.budget_steps == limits.SHARD_TASK

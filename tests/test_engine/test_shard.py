@@ -20,7 +20,6 @@ from repro.engine import (
     plan_from_sentence,
 )
 from repro.engine.shard import shard_index
-from repro.errors import OutOfFuel
 from repro.fcf.relation import cofinite_value, finite_value
 from repro.fcf.database import FcfDatabase
 from repro.logic import parse
@@ -265,46 +264,6 @@ class TestInProcessMembersHonourTheBudget:
                 _plans(engine))]
 
 
-class TestBatchContains:
-    def test_bit_for_bit_agreement(self, executor, engine):
-        plan = _open_plan(engine)
-        tuples = _grid(engine, 6)
-        sequential = Engine(rado_hsdb()).batch_contains(plan, tuples)
-        assert executor.batch_contains(engine, plan, tuples) == sequential
-
-    def test_warm_coordinator_cache_skips_the_pool(self, executor,
-                                                   engine):
-        plan = _open_plan(engine)
-        tuples = _grid(engine, 4)
-        first = executor.batch_contains(engine, plan, tuples)
-        # All answers are now in the coordinator's result cache: the
-        # second call answers from it (nshards <= 1 short-circuit).
-        assert executor.batch_contains(engine, plan, tuples) == first
-
-    def test_budget_counters_reaggregate(self, executor, engine):
-        plan = plan_from_qlhs(parse_program("Y1 := R1"))
-        run = Budget(max_steps=10_000_000)
-        executor.batch_contains(engine, plan, _grid(engine, 4),
-                                budget=run)
-        assert run.steps > 0  # fixpoint members charge worker fuel
-
-    def test_out_of_fuel_crosses_the_boundary(self, executor, engine):
-        diverge = plan_from_qlhs(
-            parse_program("while |Y1| = 0 do { Y2 := !Y2 }"))
-        with pytest.raises(OutOfFuel):
-            executor.batch_contains(engine, diverge, _grid(engine, 4),
-                                    budget=Budget(max_steps=100))
-
-    def test_engine_entry_point(self, engine):
-        plan = _open_plan(engine)
-        tuples = _grid(engine, 5)
-        sequential = Engine(rado_hsdb()).batch_contains(plan, tuples)
-        with ShardExecutor(2) as executor:
-            got = executor.batch_contains(engine, plan, tuples)
-        assert executor.pool._pool is None
-        assert got == sequential
-
-
 class TestSpanReplay:
     def test_worker_spans_reparent_under_the_batch(self, executor,
                                                    engine):
@@ -325,16 +284,3 @@ class TestSpanReplay:
 
 def _diverging():
     return plan_from_qlhs(parse_program("while |Y1| = 0 do { Y2 := !Y2 }"))
-
-
-def _open_plan(engine):
-    from repro.engine import plan_from_formula
-    from repro.logic import syntax as fo
-    return plan_from_formula(parse("R1(x, y) and not R1(y, x)"),
-                             [fo.Var("x"), fo.Var("y")],
-                             engine.signature)
-
-
-def _grid(engine, n: int):
-    pool = engine.db.domain.first(n)
-    return [(x, y) for x in pool for y in pool]

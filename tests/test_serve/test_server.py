@@ -7,6 +7,7 @@ shared fixture stays deterministic.
 
 import http.client
 import json
+import multiprocessing
 
 import pytest
 
@@ -240,8 +241,9 @@ class TestObservability:
 
 
 class TestShardedBatches:
-    """``[server] workers > 1`` routes ``/eval_batch`` through the
-    process-pool :class:`~repro.engine.shard.ShardExecutor`."""
+    """``/eval_batch`` is never sharded: ``[server] workers`` sizes only
+    the serve thread pool, and every batch runs in-process with the
+    same lines and the same tenant charges at any worker count."""
 
     QUERIES = ["exists x. R1(x, x)",
                "forall x. exists y. R1(x, y)",
@@ -267,20 +269,22 @@ class TestShardedBatches:
                 seq_server.base_url).eval_batch("rado", self.QUERIES)))
         with start_in_thread(self._config(3)) as server:
             client = ServeClient(server.base_url)
-            assert client.stats()["server"]["shard_workers"] == 3
-            sharded = self._strip(list(
+            before = set(multiprocessing.active_children())
+            threaded = self._strip(list(
                 client.eval_batch("rado", self.QUERIES)))
+            # A batch runs in the server's own process: it starts no
+            # worker process, so none can outlive the server.
+            assert set(multiprocessing.active_children()) <= before
             # Warm repeat: replayed from the store/cache, still equal.
             warm = self._strip(list(
                 client.eval_batch("rado", self.QUERIES)))
-        assert sharded == sequential
+        assert threaded == sequential
         assert warm == sequential
-        assert [m["index"] for m in sharded[:-1]] == [0, 1, 2, 3, 4]
+        assert [m["index"] for m in threaded[:-1]] == [0, 1, 2, 3, 4]
 
     def test_lone_member_charges_the_tenant_budget(self):
-        """A batch with one evaluable member never fills two shards, so
-        it runs in-process; it must still stop at the tenant's step
-        limit and charge the tenant, as the sequential server does."""
+        """A diverging member stops at the tenant's step limit and
+        charges the tenant the same at every worker count."""
         queries = ["while |Y5| = 0 do { Y6 := !Y6 }", "this is not qlhs"]
         seen = []
         for workers in (1, 2):
@@ -298,8 +302,3 @@ class TestShardedBatches:
             seen.append((lines, used))
         assert seen[0] == seen[1]
         assert 0 < seen[0][1] <= 2000
-
-    def test_sequential_server_reports_one_shard_worker(self):
-        with start_in_thread(self._config(1)) as server:
-            stats = ServeClient(server.base_url).stats()
-        assert stats["server"]["shard_workers"] == 1

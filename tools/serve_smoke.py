@@ -5,8 +5,10 @@ port, waits for ``/healthz``, then exercises the client surface the
 way the CI ``serve-smoke`` job requires: single eval on every
 frontend, eval_batch streaming (member lines before the summary
 line), 429-on-quota with tenant isolation, ``/stats``, and the
-differential oracle.  Exits non-zero on any failure, killing the
-server either way.
+differential oracle.  The server runs in its own process group, and
+once it has exited nothing may be left in that group: a process that
+outlives ``repro serve`` fails the smoke.  Exits non-zero on any
+failure, killing the server's whole group either way.
 
 Usage::
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -107,6 +110,17 @@ def smoke(base_url: str) -> None:
     print(f"  {result['agreements']}/{result['cases']} agree")
 
 
+def reap_group(pgid: int) -> bool:
+    """Whether any process is left in process group ``pgid``; the
+    group is killed if so."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    os.killpg(pgid, signal.SIGKILL)
+    return True
+
+
 def main(argv: list[str]) -> int:
     """Start the server subprocess, smoke it, tear it down."""
     port = 8199
@@ -126,17 +140,22 @@ def main(argv: list[str]) -> int:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          f"--config={config_path}", "--host=127.0.0.1", f"--port={port}"],
-        env=env)
+        env=env, start_new_session=True)
     try:
         client = ServeClient(f"http://127.0.0.1:{port}")
         wait_healthy(client)
         smoke(f"http://127.0.0.1:{port}")
-        print("serve smoke: OK")
-        return 0
     finally:
         proc.terminate()
         proc.wait(timeout=30)
         os.unlink(config_path)
+        leaked = reap_group(proc.pid)
+    if leaked:
+        print("serve smoke: FAILED: processes outlived the server "
+              "(killed)", file=sys.stderr)
+        return 1
+    print("serve smoke: OK")
+    return 0
 
 
 if __name__ == "__main__":
