@@ -30,7 +30,7 @@ WORKLOAD = [
     "forall x. exists y. (R1(x, y) and x != y)",
     "exists x. forall y. R1(x, y)",
 ]
-ROUNDS = 5      # cold passes per timing sample
+ROUNDS = 35     # cold passes per timing sample (a window of >= 40 ms)
 REPEATS = 9     # interleaved samples per mode; best-of wins
 
 DB = rado_hsdb()

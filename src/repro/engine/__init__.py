@@ -7,7 +7,8 @@ GMhs), built from:
   (scan/filter/project/quantify/join/fixpoint + boolean combinators)
   and its normalizer;
 * :mod:`repro.engine.frontends` — thin adapters lowering each source
-  language into the IR, reusing the existing compilers;
+  language into the IR (FO directly, the others by reusing their
+  existing compilers);
 * :mod:`repro.engine.fingerprint` — structural database fingerprints,
   the key that makes cached results safely reusable across database
   copies (genericity, Definition 2.4, is the soundness argument);
@@ -64,6 +65,7 @@ from .frontends import (
     HS_ROUTES,
     lower_all,
     plan_from_formula,
+    plan_from_formula_macro,
     plan_from_gmhs,
     plan_from_qlf,
     plan_from_qlhs,
@@ -168,6 +170,7 @@ __all__ = [
     "optimize",
     "optimize_result",
     "plan_from_formula",
+    "plan_from_formula_macro",
     "plan_from_gmhs",
     "plan_from_qlf",
     "plan_from_qlhs",

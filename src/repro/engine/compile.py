@@ -129,6 +129,11 @@ class _Compiler:
     def compile(self, plan: Plan) -> CompiledPlan:
         """Compile ``plan`` into a :class:`CompiledPlan`."""
         root = self._node(plan)
+        # The tables share repeated subtrees while compiling; emptied,
+        # they leave no cycle from the closures back to this compiler,
+        # so a dropped plan is freed at once, not by the cyclic GC.
+        self._nodes.clear()
+        self._ranks.clear()
 
         def run() -> Value:
             return self._execute(root, {})
@@ -541,7 +546,6 @@ def compile_plan(engine, plan: Plan,
     ``shared`` lists subplans that must keep a result-cache boundary
     (``Engine.eval_batch`` passes the cross-batch common-subplan set).
     The returned object is immutable and thread-safe to :meth:`~
-    CompiledPlan.run` concurrently; engines memoize it per
-    ``(plan, shared)``.
+    CompiledPlan.run` concurrently.
     """
     return _Compiler(engine, shared).compile(plan)

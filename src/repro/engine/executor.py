@@ -5,8 +5,8 @@ evaluates plan-IR trees against it:
 
 * every ``evaluate`` first *prepares* the plan through the plan cache —
   normalization plus, by default, the algebraic rewrites of
-  :mod:`repro.engine.optimize` (``optimize=False`` restores the naive
-  lowering) — then consults the result cache under
+  :mod:`repro.engine.optimize` (``optimize=False`` runs the lowered
+  plan as the frontend built it) — then consults the result cache under
   ``(database fingerprint, plan, args)``, so a warm re-evaluation is
   two dictionary probes, however expensive the cold run was;
 * cold runs execute, by default, through the compiled-closure backend
@@ -111,11 +111,6 @@ _ACTIVE_BUDGET: ContextVar[Budget | None] = ContextVar(
 _BATCH_SHARED: ContextVar[frozenset] = ContextVar(
     "repro_engine_batch_shared", default=frozenset())
 
-#: Cap on per-engine memoized compiled plans; on overflow the memo is
-#: simply dropped (recompilation is milliseconds, correctness is
-#: unaffected).
-_COMPILED_MEMO_MAX = 1024
-
 
 class Engine:
     """Unified query-evaluation engine over one database.
@@ -143,7 +138,7 @@ class Engine:
         Run the :mod:`repro.engine.optimize` rewrite rules during plan
         preparation (default on; only applies to hs engines).
         ``optimize=False`` is the escape hatch that executes exactly
-        the frontend's naive lowering.
+        the frontend's lowering.
     compiled:
         Execute cold plans through the :mod:`repro.engine.compile`
         closure backend (default on; only applies to hs engines).
@@ -167,8 +162,6 @@ class Engine:
         self.compiled = compiled
         self.fingerprint = fingerprint(db)
         self._stats = MutableEngineStats()
-        self._compiled_memo: dict = {}
-        self._compiled_lock = threading.Lock()
         # Exclusive-time bookkeeping for per-node timings, kept
         # per-thread so concurrent evaluations through one shared
         # engine never corrupt each other's stacks.
@@ -468,30 +461,15 @@ class Engine:
         if hit is not missing:
             return hit
         if self.compiled and self.is_hs:
-            value = self._compiled_for(plan).run()
+            # Compiled per run, not kept: once the run completes, the
+            # result cache answers the plan before it would be needed.
+            compiled = compile_plan(self, plan, _BATCH_SHARED.get())
+            self._stats.add(compiles=1)
+            value = compiled.run()
         else:
             value = self._execute(plan)
         self.cache.results.put(key, value)
         return value
-
-    def _compiled_for(self, plan: Plan):
-        """The memoized compiled form of a prepared plan.
-
-        Keyed by ``(plan, batch shared set)`` because the shared set
-        changes which nodes keep boundaries; compilation itself is
-        pure, so a racing double-compile is wasted work, not a bug.
-        """
-        key = (plan, _BATCH_SHARED.get())
-        with self._compiled_lock:
-            compiled = self._compiled_memo.get(key)
-        if compiled is None:
-            compiled = compile_plan(self, plan, key[1])
-            self._stats.add(compiles=1)
-            with self._compiled_lock:
-                if len(self._compiled_memo) >= _COMPILED_MEMO_MAX:
-                    self._compiled_memo.clear()
-                self._compiled_memo[key] = compiled
-        return compiled
 
     def _execute_node(self, plan: Plan) -> Value | FcfValue:
         """Semantics of one plan node (dispatch on the node kind)."""

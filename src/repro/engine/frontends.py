@@ -5,11 +5,15 @@ evaluator (Theorem 6.3), the QLhs interpreter (§3.3), QLf+ (Section 4),
 and the GMhs pipeline (Theorem 5.1).  These adapters make the engine the
 single entry point for all of them *without duplicating any compiler*:
 
-* **L⁻ / FO** — :func:`plan_from_formula` reuses the existing
-  calculus→algebra compiler :func:`repro.qlhs.from_logic.compile_formula`
-  (itself exercised by the Theorem 6.3 test triangle) and then maps the
-  resulting QLhs *term* — a pure, loop-free algebra — node-for-node into
-  plan nodes via :func:`plan_from_term`;
+* **L⁻ / FO** — :func:`plan_from_formula` lowers a formula with ``k``
+  variables in scope straight into a rank-``k`` plan, relativizing each
+  quantifier to the characteristic tree as Theorem 6.3 does: atoms
+  filter ``Tᵏ``, connectives become set operations, and ``∃``/``∀``
+  become :class:`~repro.engine.plan.Quantify` over the ``k+1`` context.
+  The paper's macro compilation,
+  :func:`repro.qlhs.from_logic.compile_formula`, stays the ``qlhs``
+  route's lowering and is reachable as a plan through
+  :func:`plan_from_formula_macro`;
 * **QLhs** — :func:`plan_from_qlhs`: terms lower structurally; full
   programs (which carry ``while`` loops and a store) become a single
   :class:`~repro.engine.plan.Fixpoint` node, executed by the existing
@@ -25,15 +29,16 @@ Because a loop-free QLhs *term* and its plan are structurally isomorphic
 algebras, the equivalence tests can state "engine = direct evaluator"
 relation-for-relation on the whole existing corpus.
 
-The lowering here is deliberately **naive**: it mirrors the source
-compilers exactly, projection tower for projection tower, so that its
-correctness argument stays a structural induction against the paper's
-own translations.  Making the output *fast* — collapsing the towers
-into quantifier chains, grounding joins, folding constants — is
-entirely the job of :mod:`repro.engine.optimize`, which
-:meth:`Engine.prepare` runs over these plans by default.  Keep it that
-way: an "optimization" added here would be invisible to the optimizer's
-property battery and golden snapshots.
+Each lowering is a structural induction over its source: one plan node
+per source node, so that its correctness argument stays a case split
+against the paper's own semantics (the direct FO lowering's against
+the Theorem 6.3 evaluator, ``plan_from_term``'s against the QLhs
+interpreter).  The FO lowering's plans are as wide as the formula's
+variable scope — no node's rank exceeds the number of variables in
+scope.  Anything beyond that — folding constants, grounding joins,
+pushing quantifiers — is the job of :mod:`repro.engine.optimize`, which
+:meth:`Engine.prepare` runs over these plans by default, where the
+optimizer's property battery and golden snapshots see it.
 """
 
 from __future__ import annotations
@@ -41,14 +46,31 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..errors import RankMismatchError, TypeSignatureError
-from ..logic.syntax import Formula, Var
+from ..logic.syntax import (
+    And,
+    Eq,
+    Exists,
+    FalseF,
+    Forall,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    RelAtom,
+    TrueF,
+    Var,
+)
 from ..qlhs import ast as q
-from ..qlhs.from_logic import compile_formula
+from ..qlhs.from_logic import check_formula, compile_formula
 from ..trace import limits
 from .plan import (
+    EXISTS,
+    FORALL,
     Complement,
+    Empty,
     Extend,
     FcfFixpoint,
+    FilterAtom,
     FilterEq,
     Fixpoint,
     FullScan,
@@ -57,7 +79,9 @@ from .plan import (
     MachineFixpoint,
     Plan,
     Project,
+    Quantify,
     Scan,
+    Union,
 )
 
 
@@ -100,7 +124,12 @@ def term_rank(term: q.Term, signature: Sequence[int]) -> int:
         return (term_rank(term.left, signature)
                 + term_rank(term.right, signature))
     if isinstance(term, q.Permute):
-        return len(term.perm)
+        n = term_rank(term.body, signature)
+        if len(term.perm) != n:
+            raise RankMismatchError(
+                f"permutation of length {len(term.perm)} applied to "
+                f"rank-{n} term")
+        return n
     if isinstance(term, q.SelectEq):
         return term_rank(term.body, signature)
     raise TypeError(f"unknown term {term!r}")
@@ -170,20 +199,80 @@ def plan_from_formula(formula: Formula, variables: Sequence[Var],
                       signature: Sequence[int]) -> Plan:
     """Lower an FO (or quantifier-free L⁻) formula into a plan.
 
-    ``variables`` fixes the free-variable → coordinate order, exactly as
-    in :func:`repro.qlhs.from_logic.compile_formula` (which performs the
-    actual compilation; this adapter only changes the target algebra).
+    ``variables`` fixes the free-variable → coordinate order, and the
+    formula is checked against it and the signature exactly as
+    :func:`repro.qlhs.from_logic.compile_formula` checks it.  With
+    ``k`` variables in scope:
+
+    * ``true``/``false`` become ``Tᵏ``/``∅ᵏ``; an atom becomes
+      ``FilterAtom(Tᵏ, R, positions)`` and ``x = y`` becomes
+      ``FilterEq(Tᵏ, i, j)``;
+    * ``¬``, ``∧``, ``∨`` and ``→`` become ``Complement``,
+      ``Intersect`` and ``Union``;
+    * ``∃x``/``∀x`` become :class:`~repro.engine.plan.Quantify` over
+      the body lowered at ``k+1``, where ``x`` names the new last
+      coordinate (shadowing an outer ``x``, as in the evaluator).
+
     A sentence (``variables = []``) lowers to a rank-0 plan whose
     nonemptiness is its truth value.
     """
-    term = compile_formula(formula, list(variables), tuple(signature))
-    return plan_from_term(term, signature)
+    variables = list(variables)
+    check_formula(formula, variables, signature)
+    return _lower_formula(formula, {v: i for i, v in enumerate(variables)},
+                          len(variables))
+
+
+def _lower_formula(formula: Formula, slots: dict[Var, int],
+                   k: int) -> Plan:
+    """The rank-``k`` plan of a checked formula; ``slots`` maps each
+    variable in scope to its coordinate."""
+    if isinstance(formula, TrueF):
+        return FullScan(k)
+    if isinstance(formula, FalseF):
+        return Empty(k)
+    if isinstance(formula, Eq):
+        return FilterEq(FullScan(k), slots[formula.left],
+                        slots[formula.right])
+    if isinstance(formula, RelAtom):
+        return FilterAtom(FullScan(k), formula.index,
+                          [slots[a] for a in formula.args])
+    if isinstance(formula, Not):
+        return Complement(_lower_formula(formula.body, slots, k))
+    if isinstance(formula, (And, Or)):
+        parts = [_lower_formula(c, slots, k) for c in formula.children]
+        if isinstance(formula, And):
+            return Intersect(parts) if parts else FullScan(k)
+        return Union(parts) if parts else Empty(k)
+    if isinstance(formula, Implies):
+        return Union((Complement(_lower_formula(formula.left, slots, k)),
+                      _lower_formula(formula.right, slots, k)))
+    if isinstance(formula, (Exists, Forall)):
+        inner = {**slots, formula.var: k}
+        return Quantify(_lower_formula(formula.body, inner, k + 1),
+                        EXISTS if isinstance(formula, Exists) else FORALL)
+    raise TypeError(f"unknown formula node {formula!r}")
 
 
 def plan_from_sentence(sentence: Formula,
                        signature: Sequence[int]) -> Plan:
     """A sentence as a rank-0 plan (truth = nonemptiness)."""
     return plan_from_formula(sentence, [], signature)
+
+
+def plan_from_formula_macro(formula: Formula, variables: Sequence[Var],
+                            signature: Sequence[int]) -> Plan:
+    """The paper's macro lowering of a formula: the calculus → algebra
+    compilation :func:`repro.qlhs.from_logic.compile_formula`, mapped
+    node for node by :func:`plan_from_term`.
+
+    It denotes what :func:`plan_from_formula` denotes, through
+    projection towers and ``select_atom`` joins: an atom of arity ``a``
+    under ``k`` variables in scope joins ``Tᵏ`` with the relation, a
+    rank-``k + a`` node.  The ``qlhs`` route runs the same term, and the
+    optimizer's golden tests pin their shapes on these plans.
+    """
+    term = compile_formula(formula, list(variables), tuple(signature))
+    return plan_from_term(term, signature)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +330,6 @@ def procedure_from_formula(formula: Formula,
     sentence (the default) yields ``{()}`` when it holds, ``set()``
     otherwise.
     """
-    from ..logic.syntax import (
-        And, Eq, Exists, FalseF, Forall, Implies, Not, Or, RelAtom, TrueF,
-    )
     variables = tuple(variables)
 
     def positions_equal(oracle, a: int, b: int) -> bool:
@@ -326,10 +412,47 @@ HS_ROUTES = (ROUTE_FO, ROUTE_QLHS, ROUTE_GMHS)
 FCF_ROUTES = (ROUTE_QLF,)
 
 
+def _lower_route(query, route: str, signature: Sequence[int],
+                 variables: Sequence[Var]) -> Plan | None:
+    """One route of :func:`lower_all`, or ``None`` when the route cannot
+    express the query: ``fo`` takes formulas and terms, ``qlhs``
+    everything, ``gmhs`` formulas only, and ``qlf`` terms and programs
+    free of the hs intrinsics."""
+    if isinstance(query, Formula):
+        if route == ROUTE_FO:
+            return plan_from_formula(query, variables, signature)
+        if route == ROUTE_QLHS:
+            term = compile_formula(query, list(variables), tuple(signature))
+            return Fixpoint(q.Assign("Y1", term), "Y1")
+        check_formula(query, variables, signature)
+        if route == ROUTE_GMHS:
+            return plan_from_gmhs(procedure_from_formula(query, variables))
+        return None
+    if isinstance(query, q.Term):
+        if route == ROUTE_FO:
+            return plan_from_term(query, signature)
+        term_rank(query, signature)
+        program: q.Program = q.Assign("Y1", query)
+        if route == ROUTE_QLHS:
+            return Fixpoint(program, "Y1")
+        if route == ROUTE_QLF and not q.term_uses_intrinsics(query):
+            return FcfFixpoint(program)
+        return None
+    if isinstance(query, q.Program):
+        if route == ROUTE_QLHS:
+            return Fixpoint(query, "Y1")
+        if route == ROUTE_QLF and not q.program_uses_intrinsics(query):
+            return FcfFixpoint(query)
+        return None
+    raise TypeSignatureError(
+        f"lower_all cannot lower {type(query).__name__} queries")
+
+
 def lower_all(query, signature: Sequence[int], *,
               variables: Sequence[Var] = (),
               include_gmhs: bool = False,
-              include_qlf: bool = False) -> dict[str, Plan]:
+              include_qlf: bool = False,
+              routes: Sequence[str] | None = None) -> dict[str, Plan]:
     """Lower one semantic query through **every applicable frontend**.
 
     This is the differential-testing hook (:mod:`repro.check`): the
@@ -343,10 +466,13 @@ def lower_all(query, signature: Sequence[int], *,
     :class:`~repro.qlhs.ast.Program`.  The result maps route name →
     plan:
 
-    * ``"fo"`` — the structural algebra plan (pure plan-IR execution);
+    * ``"fo"`` — the structural algebra plan (pure plan-IR execution;
+      a formula lowers directly, by :func:`plan_from_formula`);
     * ``"qlhs"`` — a :class:`~repro.engine.plan.Fixpoint` plan whose
       payload is a one-assignment program, executed by the QLhs
-      *interpreter* (a genuinely different execution path);
+      *interpreter* (a genuinely different execution path; a formula
+      runs as the paper's macro term, :func:`~repro.qlhs.from_logic.
+      compile_formula`);
     * ``"gmhs"`` (``include_gmhs=True``, formulas only) — a
       :class:`~repro.engine.plan.MachineFixpoint` plan wrapping
       :func:`procedure_from_formula` (the Theorem 5.1 pipeline);
@@ -355,32 +481,26 @@ def lower_all(query, signature: Sequence[int], *,
       Engine over the corresponding
       :class:`~repro.fcf.database.FcfDatabase`.
 
+    ``routes`` names the routes to lower instead of the two flags'
+    choice (the serving catalog lowers only the route a request is
+    served on); routes that cannot express the query are left out
+    either way.  Every route checks the query as the ``fo`` route does
+    — a formula against ``variables`` and the signature, a term's ranks
+    against the signature — so lowering one route rejects exactly the
+    queries that lowering them all rejects.
+
     Plans in :data:`HS_ROUTES` execute on an Engine over an
     :class:`~repro.symmetric.hsdb.HSDatabase`; plans in
     :data:`FCF_ROUTES` need an Engine over the fcf view of the *same*
     database (Proposition 4.1's bridge).
     """
-    from ..logic.syntax import Formula as _Formula
+    if routes is None:
+        routes = ((ROUTE_FO, ROUTE_QLHS)
+                  + ((ROUTE_GMHS,) if include_gmhs else ())
+                  + ((ROUTE_QLF,) if include_qlf else ()))
     plans: dict[str, Plan] = {}
-    if isinstance(query, _Formula):
-        term = compile_formula(query, list(variables), tuple(signature))
-        plans[ROUTE_FO] = plan_from_term(term, signature)
-        plans[ROUTE_QLHS] = Fixpoint(q.Assign("Y1", term), "Y1")
-        if include_gmhs:
-            plans[ROUTE_GMHS] = plan_from_gmhs(
-                procedure_from_formula(query, variables))
-        return plans
-    if isinstance(query, q.Term):
-        plans[ROUTE_FO] = plan_from_term(query, signature)
-        program: q.Program = q.Assign("Y1", query)
-        plans[ROUTE_QLHS] = Fixpoint(program, "Y1")
-        if include_qlf and not q.term_uses_intrinsics(query):
-            plans[ROUTE_QLF] = FcfFixpoint(program)
-        return plans
-    if isinstance(query, q.Program):
-        plans[ROUTE_QLHS] = Fixpoint(query, "Y1")
-        if include_qlf and not q.program_uses_intrinsics(query):
-            plans[ROUTE_QLF] = FcfFixpoint(query)
-        return plans
-    raise TypeSignatureError(
-        f"lower_all cannot lower {type(query).__name__} queries")
+    for route in routes:
+        plan = _lower_route(query, route, signature, variables)
+        if plan is not None:
+            plans[route] = plan
+    return plans

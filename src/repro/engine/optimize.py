@@ -4,9 +4,11 @@ Profiling the cold path (EXPERIMENTS E15/E20) shows evaluation cost is
 dominated not by interpreter dispatch but by *canonicalization*: every
 :class:`~repro.engine.plan.Project` node folds each projected tuple
 back onto the characteristic tree via oracle (``≅_B``) questions, and
-the frontends lower quantifiers into towers of projections.  The
-optimizer is therefore aimed squarely at eliminating canonicalizing
-nodes, with classic algebraic folding riding along:
+the paper's macro lowering of FO (the ``qlhs`` route's
+``compile_formula``, and :func:`~repro.engine.frontends.
+plan_from_formula_macro`) turns quantifiers into towers of
+projections.  The optimizer is therefore aimed squarely at eliminating
+canonicalizing nodes, with classic algebraic folding riding along:
 
 * **projection fusion and prefix elimination** — adjacent projections
   compose (genericity makes ``canon(canon(t·c₁)·c₂) = canon(t·c₁·c₂)``

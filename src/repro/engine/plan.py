@@ -79,12 +79,13 @@ class FullScan(Plan):
 class Empty(Plan):
     """``∅`` at rank ``rank`` — the other constant relation.
 
-    No frontend emits it; the optimizer's folding rules
-    (:mod:`repro.engine.optimize`) introduce it when a subplan is
-    statically contradictory (``X ∩ ∁X``, ``∁Tⁿ``, …), and further
-    rules propagate it upward.  Genericity makes the folds exact: an
-    empty union of ``≅_B`` classes stays empty under every generic
-    operation that does not reintroduce paths.
+    The FO lowering emits it for ``false`` and the empty disjunction;
+    the optimizer's folding rules (:mod:`repro.engine.optimize`)
+    introduce it when a subplan is statically contradictory
+    (``X ∩ ∁X``, ``∁Tⁿ``, …), and further rules propagate it upward.
+    Genericity makes the folds exact: an empty union of ``≅_B`` classes
+    stays empty under every generic operation that does not
+    reintroduce paths.
     """
 
     rank: int

@@ -41,12 +41,14 @@ from .derived import full_term, select_atom, union
 from .interpreter import QLhsInterpreter, Value
 
 
-def compile_formula(formula: Formula, variables: Sequence[Var],
-                    signature: Sequence[int]) -> Term:
-    """Compile ``φ`` with the given free-variable order into a term.
+def check_formula(formula: Formula, variables: Sequence[Var],
+                  signature: Sequence[int]) -> None:
+    """Check ``φ`` against a free-variable order and a database type.
 
-    The resulting term has rank ``len(variables)``; coordinate ``i``
-    carries ``variables[i]``.
+    Raises :class:`ValueError` for a repeated variable in the order,
+    :class:`TypeSignatureError` for a free variable outside it or an
+    out-of-range relation, and :class:`~repro.errors.ArityError` for an
+    atom of the wrong arity.
     """
     variables = list(variables)
     if len(set(variables)) != len(variables):
@@ -57,6 +59,17 @@ def compile_formula(formula: Formula, variables: Sequence[Var],
             f"formula has free variables "
             f"{sorted(v.name for v in extra)} outside the given order")
     validate(formula, signature)
+
+
+def compile_formula(formula: Formula, variables: Sequence[Var],
+                    signature: Sequence[int]) -> Term:
+    """Compile ``φ`` with the given free-variable order into a term.
+
+    The resulting term has rank ``len(variables)``; coordinate ``i``
+    carries ``variables[i]``.
+    """
+    variables = list(variables)
+    check_formula(formula, variables, signature)
     return _compile(formula, variables, tuple(signature))
 
 

@@ -10,10 +10,10 @@ question of the same database — or of two fingerprint-equal databases —
 share the warm answer regardless of which engine object answered first.
 
 The catalog also owns query compilation: request text is parsed and
-lowered through :func:`repro.engine.frontends.lower_all` once per
-``(database, frontend, text)`` triple and memoized, so a warm request
-costs two cache probes (compile memo + result cache) before the
-response is written.
+lowered through :func:`repro.engine.frontends.lower_all` — along the
+requested frontend's route only — once per ``(database, frontend,
+text)`` triple and memoized, so a warm request costs two cache probes
+(compile memo + result cache) before the response is written.
 
 Thread safety: construction and the compile memo run under locks
 (the server evaluates on a thread pool); live engines are themselves
@@ -26,7 +26,12 @@ import threading
 
 from ..engine import Engine, EngineCache, lower_all
 from ..engine.frontends import FCF_ROUTES
-from ..errors import ParseError, RankMismatchError, TypeSignatureError
+from ..errors import (
+    ArityError,
+    ParseError,
+    RankMismatchError,
+    TypeSignatureError,
+)
 from ..fcf.database import FcfDatabase
 from ..fcf.relation import cofinite_value, finite_value
 from ..logic import parse as parse_formula
@@ -178,22 +183,19 @@ class Catalog:
         return self._compile(name, frontend, text)
 
     def _compile_uncached(self, name: str, frontend: str, text: str):
-        """The compile body behind the memo."""
+        """The compile body behind the memo: parse, then lower along
+        the requested frontend's route alone."""
         view = "fcf" if frontend in FCF_ROUTES else "hs"
         engine = self.engine(name, view)
-        signature = engine.signature
         try:
             if frontend in ("fo", "gmhs"):
                 query = parse_formula(text)
-                plans = lower_all(query, signature,
-                                  include_gmhs=(frontend == "gmhs"))
             else:
                 query = self._parse_qlhs(text)
-                plans = lower_all(query, signature,
-                                  include_qlf=(frontend == "qlf"))
+            plans = lower_all(query, engine.signature, routes=(frontend,))
         except ParseError as exc:
             raise QueryError("parse_error", str(exc)) from exc
-        except (TypeSignatureError, RankMismatchError) as exc:
+        except (TypeSignatureError, RankMismatchError, ArityError) as exc:
             raise QueryError("type_error", str(exc)) from exc
         plan = plans.get(frontend)
         if plan is None:

@@ -35,6 +35,7 @@ metadata is attached to the same span before evaluation begins.
 from __future__ import annotations
 
 import asyncio
+import signal
 import sys
 import threading
 import time
@@ -534,8 +535,13 @@ def serve_forever(config: ServeConfig | None = None, *,
                   host: str | None = None,
                   port: int | None = None,
                   store: str | None = None) -> int:
-    """Run the server on the calling thread until interrupted (the
-    ``python -m repro serve`` path).  Returns the process exit code."""
+    """Run the server on the main thread until SIGINT or SIGTERM (the
+    ``python -m repro serve`` path).  Returns the process exit code.
+
+    Both signals take one shutdown path: stop accepting, then
+    :meth:`ServeApp.close`, which snapshots the result cache into the
+    store when one is attached.
+    """
     app = ServeApp(config, store=store)
     host = host if host is not None else app.config.host
     port = port if port is not None else app.config.port
@@ -543,6 +549,10 @@ def serve_forever(config: ServeConfig | None = None, *,
     async def main() -> None:
         app.start()
         server = await asyncio.start_server(app.handle, host, port)
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
         bound = server.sockets[0].getsockname()
         print(f"repro serve: listening on http://{bound[0]}:{bound[1]} "
               f"({len(app.config.databases)} databases, "
@@ -553,12 +563,13 @@ def serve_forever(config: ServeConfig | None = None, *,
                   flush=True)
         try:
             async with server:
-                await server.serve_forever()
+                await stop.wait()
         finally:
             app.close()
 
     try:
         asyncio.run(main())
     except KeyboardInterrupt:
-        print("repro serve: shutting down")
+        pass  # SIGINT before the handlers above were installed
+    print("repro serve: shutting down")
     return 0

@@ -8,6 +8,8 @@ a result-cache boundary at every non-fused node, and an early-exit
 parity on randomly generated plans).
 """
 
+import gc
+
 import pytest
 
 from repro.engine import (
@@ -26,6 +28,7 @@ from repro.engine import (
     compile_plan,
     plan_from_sentence,
 )
+from repro.engine.compile import CompiledPlan
 from repro.errors import RankMismatchError, TypeSignatureError
 from repro.graphs import mixed_components_hsdb
 from repro.logic import parse
@@ -142,5 +145,36 @@ def test_compile_counter_and_memo(engine):
     eng.evaluate(plan)
     compiles = eng.stats().optimizer.compiles
     assert compiles > 0
-    eng.evaluate(plan)  # memoized: no recompilation
+    eng.evaluate(plan)  # a result-cache hit: no recompilation
     assert eng.stats().optimizer.compiles == compiles
+
+
+def test_a_dropped_compiled_plan_leaves_no_cyclic_garbage(engine):
+    # Reference counting alone frees a dropped compiled plan; closures
+    # that cycled back to their compiler would wait for the cyclic
+    # collector, whose full collections then pause a busy server.
+    gc.collect()
+    gc.disable()
+    try:
+        for plan in PLANS:
+            compile_plan(engine, plan)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_engine_keeps_no_compiled_plan():
+    # The result cache answers a completed plan before a kept compiled
+    # plan could be used, so the engine compiles per run and drops it.
+    eng = Engine(mixed_components_hsdb())
+    plan = plan_from_sentence(
+        parse("forall x. exists y. (R1(x, y) and x != y)"), eng.signature)
+    gc.collect()
+    gc.disable()
+    try:
+        eng.evaluate(plan)
+        assert eng.stats().optimizer.compiles > 0
+        assert not any(isinstance(o, CompiledPlan)
+                       for o in gc.get_objects())
+    finally:
+        gc.enable()

@@ -12,7 +12,7 @@ import random
 import statistics
 
 from repro.check.generators import BUILTIN_HSDBS, builtin_hsdb, gen_sentence
-from repro.engine import plan_from_sentence, plan_size
+from repro.engine import plan_from_formula_macro, plan_size
 from repro.engine.optimize import iter_subplans, optimize_result
 
 # By path: the package re-exports functions named ``optimize`` and ``plan``.
@@ -42,7 +42,8 @@ def generated_plans():
     for index in range(SENTENCES):
         signature = signatures[index % len(signatures)]
         sentence = gen_sentence(rng, signature, depth=4, quantifiers=2)
-        out.append((plan_from_sentence(sentence, signature), signature))
+        out.append((plan_from_formula_macro(sentence, [], signature),
+                    signature))
     return out
 
 

@@ -26,7 +26,7 @@ from repro.engine import (
     Scan,
     Union,
     optimize,
-    plan_from_sentence,
+    plan_from_formula_macro,
     plan_size,
 )
 from repro.engine.plan import Extend
@@ -73,7 +73,7 @@ def render(plan):
 #: join(T_k, R0))`` core is the grounded form of the lowered atom: the
 #: rank-0 guard checks the database is nonempty once, and the compiled
 #: backend streams the ``T_k × R0`` product without building the
-#: Extend-tower the frontend emits.
+#: Extend-tower the macro lowering emits.
 SENTENCE_GOLDENS = {
     "forall x. exists y. R1(x, y)":
         "all(ex(ex(ex(eq[1=3](eq[0=2](join(ex(ex(eq[0=1](T2))),"
@@ -120,7 +120,7 @@ PLAN_GOLDENS = [
 
 @pytest.mark.parametrize("sentence", sorted(SENTENCE_GOLDENS))
 def test_sentence_plan_shape_pinned(sentence):
-    plan = plan_from_sentence(parse(sentence), SIGNATURE)
+    plan = plan_from_formula_macro(parse(sentence), [], SIGNATURE)
     assert render(optimize(plan, SIGNATURE)) == SENTENCE_GOLDENS[sentence]
 
 
@@ -133,5 +133,5 @@ def test_folding_shape_pinned(plan, expected):
 
 @pytest.mark.parametrize("sentence", sorted(SENTENCE_GOLDENS))
 def test_optimized_never_larger(sentence):
-    plan = plan_from_sentence(parse(sentence), SIGNATURE)
+    plan = plan_from_formula_macro(parse(sentence), [], SIGNATURE)
     assert plan_size(optimize(plan, SIGNATURE)) <= plan_size(plan)

@@ -97,6 +97,31 @@ class TestCompile:
             catalog.compile("rado", "fo", "exists x. R9(x, x)")
         assert exc.value.code == "type_error"
 
+    def test_arity_error_is_a_type_error(self, catalog):
+        for frontend in ("fo", "gmhs"):
+            with pytest.raises(QueryError) as exc:
+                catalog.compile("rado", frontend, "exists x. R1(x)")
+            assert exc.value.code == "type_error"
+            assert "arity" in exc.value.detail
+
+    def test_fo_request_lowers_only_its_route(self, catalog, monkeypatch):
+        """The macro compilation feeds only the qlhs route, so an fo
+        request never runs it."""
+        from repro.engine import frontends
+
+        def refuse(*args):
+            raise AssertionError("compile_formula ran for an fo request")
+
+        monkeypatch.setattr(frontends, "compile_formula", refuse)
+        engine, plan = catalog.compile("rado", "fo", "exists x. R1(x, x)")
+        assert engine.eval(plan).status == "false"
+
+    def test_every_route_checks_ranks(self, catalog):
+        for frontend, database in (("qlhs", "rado"), ("qlf", "pair")):
+            with pytest.raises(QueryError) as exc:
+                catalog.compile(database, frontend, "R1 & down(R1)")
+            assert exc.value.code == "type_error"
+
     def test_qlf_needs_fcf_database(self, catalog):
         with pytest.raises(QueryError) as exc:
             catalog.compile("rado", "qlf", "R1")

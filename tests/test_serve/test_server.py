@@ -104,6 +104,16 @@ class TestEvalBatch:
         assert lines[1]["status"] == "false"
         assert lines[-1]["done"] is True
 
+    def test_member_arity_error_does_not_kill_batch(self, client):
+        lines = list(client.eval_batch(
+            "rado", ["exists x. R1(x, x)", "exists x. R1(x)",
+                     "forall x. exists y. R1(x, y)"]))
+        assert [line.get("index") for line in lines[:-1]] == [0, 1, 2]
+        assert lines[1]["error"] == "type_error"
+        assert lines[2]["status"] == "true"
+        assert lines[-1] == {"done": True, "members": 3,
+                             "tenant": "default"}
+
 
 class TestErrorTaxonomy:
     def test_unknown_database_404(self, client):
@@ -117,6 +127,12 @@ class TestErrorTaxonomy:
             client.eval("rado", "((")
         assert exc.value.status == 400
         assert exc.value.payload["error"] == "parse_error"
+
+    def test_arity_error_400(self, client):
+        with pytest.raises(ServeError) as exc:
+            client.eval("rado", "exists x. R1(x)")
+        assert exc.value.status == 400
+        assert exc.value.payload["error"] == "type_error"
 
     def test_unknown_frontend_400(self, client):
         with pytest.raises(ServeError) as exc:

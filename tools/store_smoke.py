@@ -156,7 +156,9 @@ def serve_once(config_path: str, store_path: str, port: int,
         stats = client.stats()["store"]
         return verdicts, stats
     finally:
-        proc.terminate()
+        # SIGKILL, not SIGTERM: the restart must come up warm from the
+        # rows written through while serving, with no closing snapshot.
+        proc.kill()
         proc.wait(timeout=30)
 
 
