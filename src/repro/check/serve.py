@@ -4,11 +4,14 @@ in-process ``Engine.eval`` answers.
 The serving tier adds an HTTP layer, a thread pool, tenant admission,
 and a shared cross-database cache between the client and the engine —
 four places a verdict could silently diverge.  This oracle closes the
-loop: a seeded sample of queries is evaluated twice, once through a
-real server (`repro.serve.start_in_thread` + `ServeClient`) and once
+loop: a seeded sample of queries is sent to a real server
+(`repro.serve.start_in_thread` + `ServeClient`) and also evaluated
 through a fresh in-process :class:`~repro.engine.Engine` with the same
-per-request step allowance, and every pair of three-valued verdicts
-must agree **bit-for-bit** on ``(status, reason)``.
+per-request step allowance, and every served three-valued verdict must
+agree **bit-for-bit** on ``(status, reason)`` with the in-process one.
+Each query is sent twice: the first (``cold``) pass evaluates on the
+server's pool, the second (``warm``) is answered from its memos on the
+event loop, so both serving paths face the oracle.
 
 Used three ways:
 
@@ -107,8 +110,10 @@ def run_serve_check(base_url: str, *,
 
         {"cases": N, "agreements": N, "disagreements": [...]}
 
-    ``disagreements`` rows carry the query and both verdicts; an empty
-    list is the acceptance criterion.
+    Every row is sent twice; it agrees only when both answers agree.
+    ``disagreements`` rows carry the query, its ``pass`` (``cold`` or
+    ``warm``) and both verdicts; an empty list is the acceptance
+    criterion.
     """
     config = config if config is not None else default_config()
     catalog = Catalog(config)
@@ -129,18 +134,20 @@ def run_serve_check(base_url: str, *,
     agreements = 0
     disagreements = []
     for database, frontend, text in rows:
-        served = client.eval(database, text, frontend=frontend,
-                             tenant=tenant)
         expected = reference_verdict(catalog, database, frontend, text,
                                      max_steps)
-        got = (served["status"], served["reason"])
-        if got == expected:
-            agreements += 1
-        else:
-            disagreements.append({
-                "database": database, "frontend": frontend,
-                "query": text,
-                "served": list(got), "in_process": list(expected)})
+        agreed = True
+        for pass_name in ("cold", "warm"):
+            served = client.eval(database, text, frontend=frontend,
+                                 tenant=tenant)
+            got = (served["status"], served["reason"])
+            if got != expected:
+                agreed = False
+                disagreements.append({
+                    "database": database, "frontend": frontend,
+                    "query": text, "pass": pass_name,
+                    "served": list(got), "in_process": list(expected)})
+        agreements += agreed
     return {"cases": len(rows), "agreements": agreements,
             "disagreements": disagreements}
 

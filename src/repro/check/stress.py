@@ -38,7 +38,7 @@ from ..errors import OutOfFuel
 from ..logic import parse
 from ..symmetric import rado_hsdb
 from ..trace import Budget, TraceRecorder, recording, span
-from ..util.memo import lru_cached
+from ..util.memo import MISS, lru_cached
 
 #: Default thread count / per-thread operation count of one campaign —
 #: ≥8 × ≥10k is the acceptance floor of the race-stress harness.
@@ -156,39 +156,65 @@ def hammer_budget(seed: int, threads: int = DEFAULT_THREADS,
 def hammer_memo(seed: int, threads: int = DEFAULT_THREADS,
                 ops: int = DEFAULT_OPS) -> dict:
     """Pound one :func:`~repro.util.memo.lru_cached` memo from many
-    threads with an overlapping, eviction-churning key space.
+    threads with an overlapping, eviction-churning key space, mixing
+    non-blocking ``peek`` probes into the calls.
 
-    Invariants: every call returns the pure function's value, and the
-    counted traffic is exact (``hits + misses == total calls``).
+    Invariants: every call and every peek hit returns the pure
+    function's value, a peek never computes, and the counted traffic
+    is exact (``hits + misses == calls + peek hits``).
     """
+    peeking = threading.local()
+    peek_computed = [0] * threads
+
     @lru_cached(maxsize=64)
     def cube(n: int) -> int:
+        if getattr(peeking, "index", None) is not None:
+            peek_computed[peeking.index] += 1
         return n * n * n
 
     keyspace = 256  # 4x maxsize: constant eviction churn
     bad = [0] * threads
+    calls = [0] * threads
+    peek_hits = [0] * threads
 
     def work(i: int) -> None:
         rng = random.Random((seed << 8) + i)
         for __ in range(ops):
             n = rng.randrange(keyspace)
-            if cube(n) != n * n * n:
+            if rng.random() < 0.25:
+                peeking.index = i
+                try:
+                    got = cube.peek(n)
+                finally:
+                    peeking.index = None
+                if got is MISS:
+                    continue
+                peek_hits[i] += 1
+            else:
+                got = cube(n)
+                calls[i] += 1
+            if got != n * n * n:
                 bad[i] += 1
 
     errors = _run_threads(threads, work)
     failures = [f"worker raised {type(e).__name__}: {e}" for e in errors]
     if sum(bad):
-        failures.append(f"{sum(bad)} memoized calls returned wrong values")
+        failures.append(f"{sum(bad)} memoized calls or peeks returned "
+                        "wrong values")
+    if sum(peek_computed):
+        failures.append(f"{sum(peek_computed)} peeks computed the "
+                        "function")
     traffic = cube.hits + cube.misses
-    expected = threads * ops
+    expected = sum(calls) + sum(peek_hits)
     if traffic != expected:
         failures.append(f"hits+misses == {traffic}, expected {expected} "
-                        "(lost counter updates)")
+                        "calls + peek hits (lost counter updates)")
     if len(cube.cache) > 64:
         failures.append(f"memo grew to {len(cube.cache)} > maxsize 64")
     return _hammer_report("memo", threads, ops, failures,
                           hits=cube.hits, misses=cube.misses,
-                          evictions=cube.evictions)
+                          evictions=cube.evictions,
+                          peek_hits=sum(peek_hits))
 
 
 def hammer_cache(seed: int, threads: int = DEFAULT_THREADS,

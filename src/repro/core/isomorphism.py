@@ -170,25 +170,37 @@ def finite_isomorphism(db1: RecursiveDatabase, db2: RecursiveDatabase,
         if not _partial_consistent(db1, db2, mapping, x):
             return None
 
-    def backtrack(index: int) -> bool:
-        if index == len(free1):
-            return True
-        x = free1[index]
-        for y in free2:
-            if y in mapping.values():
-                continue
-            if profiles1[x] != profiles2[y]:
-                continue
-            mapping[x] = y
-            if _partial_consistent(db1, db2, mapping, x) and \
-                    backtrack(index + 1):
-                return True
-            del mapping[x]
-        return False
-
-    if backtrack(0):
+    pairs = [(x, [y for y in free2 if profiles1[x] == profiles2[y]])
+             for x in free1]
+    if _extend_isomorphism(db1, db2, mapping, pairs, 0):
         return dict(mapping)
     return None
+
+
+def _extend_isomorphism(db1: RecursiveDatabase, db2: RecursiveDatabase,
+                        mapping: dict[Element, Element],
+                        pairs: list[tuple[Element, list[Element]]],
+                        index: int) -> bool:
+    """The backtracking step of :func:`finite_isomorphism`.
+
+    Extends ``mapping`` (in place) over ``pairs[index:]`` — each free
+    element of ``db1`` with its profile-compatible candidates in
+    ``db2`` — keeping it injective and consistent with every relation.
+    A module-level function, not a closure over itself, so a search
+    leaves no reference cycle behind.
+    """
+    if index == len(pairs):
+        return True
+    x, candidates = pairs[index]
+    for y in candidates:
+        if y in mapping.values():
+            continue
+        mapping[x] = y
+        if _partial_consistent(db1, db2, mapping, x) and \
+                _extend_isomorphism(db1, db2, mapping, pairs, index + 1):
+            return True
+        del mapping[x]
+    return False
 
 
 def finite_pointed_isomorphic(p1: PointedDatabase,

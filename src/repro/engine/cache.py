@@ -34,7 +34,7 @@ from collections import OrderedDict
 from collections.abc import Hashable
 from typing import Any
 
-from ..util.memo import lru_cached
+from ..util.memo import MISS, lru_cached
 from .plan import Plan, normalize
 from .stats import CacheStats
 
@@ -99,6 +99,19 @@ class PlanCache:
             return self._normalize(plan, signature=signature)
         return self._prepare(plan, signature=signature)
 
+    def peek_prepared(self, plan: Plan,
+                      signature: tuple[int, ...] | None = None, *,
+                      optimize: bool = True) -> Plan | None:
+        """:meth:`prepared` answered from its memo alone, or ``None``.
+
+        Never prepares and never waits: a plan not yet memoized, or a
+        memo whose lock another thread holds (it is held for a whole
+        optimization), reads as ``None``.  A hit counts as a hit.
+        """
+        memo = self._prepare if optimize else self._normalize
+        got = memo.peek(plan, signature=signature)
+        return None if got is MISS else got
+
     def optimizer_stats(self) -> tuple[int, tuple[tuple[str, int], ...]]:
         """``(plans_optimized, ((rule, firings), ...))`` so far."""
         with self._opt_lock:
@@ -161,7 +174,8 @@ class ResultCache:
     lock-free between shards; the size may transiently overshoot
     ``maxsize`` by at most the number of concurrent writers and is
     restored to ``<= maxsize`` by the time every ``put`` returns.
-    Counters satisfy ``hits + misses == counted lookups`` exactly.
+    Counters satisfy ``hits + misses == counted lookups`` exactly, where
+    a :meth:`peek` is a counted lookup only when it hits.
 
     Parameters
     ----------
@@ -218,6 +232,26 @@ class ResultCache:
             if shared:
                 shard.shared_misses += 1
             return default
+
+    def peek(self, key: Hashable, default: Any = None) -> Any:
+        """A lookup that counts only its hit.
+
+        A hit refreshes LRU order and counts exactly as in :meth:`get`;
+        a miss counts nothing.  For a probe whose miss hands the request
+        to a path that makes its own counted :meth:`get` (the serving
+        tier's event-loop answer, :meth:`Engine.cached_verdict
+        <repro.engine.executor.Engine.cached_verdict>`), so one lookup is
+        never counted twice.
+        """
+        shard = self._shard_for(key)
+        with shard.lock:
+            entry = shard.data.get(key)
+            if entry is None:
+                return default
+            shard.data.move_to_end(key)
+            entry[1] = next(self._ticker)
+            shard.hits += 1
+            return entry[0]
 
     def __contains__(self, key: Hashable) -> bool:
         # Pure containment check — does not touch the counters; use

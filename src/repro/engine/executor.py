@@ -268,6 +268,39 @@ class Engine:
             sp.set(verdict=verdict.status)
             return verdict
 
+    def cached_verdict(self, plan: Plan) -> Verdict | None:
+        """The verdict :meth:`eval` would return, from the caches alone,
+        or ``None``.
+
+        Probes the prepared-plan memo without waiting
+        (:meth:`PlanCache.peek_prepared
+        <repro.engine.cache.PlanCache.peek_prepared>`), then the result
+        cache (:meth:`ResultCache.peek
+        <repro.engine.cache.ResultCache.peek>`).  It never prepares,
+        never executes and never waits on a lock held across a
+        computation, so an event loop may call it.  The result cache
+        holds only completed values, and a completed value is the
+        answer under any budget, so a hit needs no budget; it is
+        counted as :meth:`eval` counts a warm hit (one evaluation, its
+        wall time, one verdict).  A miss counts nothing: the caller
+        falls back to :meth:`eval`.
+        """
+        start = time.perf_counter()
+        prepared = self.cache.plans.peek_prepared(
+            plan, self.signature, optimize=self.optimize and self.is_hs)
+        if prepared is None:
+            return None
+        missing = object()
+        value = self.cache.results.peek(
+            ResultCache.key(self.fingerprint, prepared, ()), missing)
+        if value is missing:
+            return None
+        verdict = Verdict.of(self._truth(value), value=value)
+        self._stats.add(evaluations=1,
+                        wall_time=time.perf_counter() - start)
+        self._stats.record_verdict(verdict.status)
+        return verdict
+
     def eval_batch(self, plans: Sequence[Plan]) -> list[Verdict]:
         """:meth:`eval` several plans; one diverging member cannot
         starve the rest.

@@ -12,8 +12,10 @@ share the warm answer regardless of which engine object answered first.
 The catalog also owns query compilation: request text is parsed and
 lowered through :func:`repro.engine.frontends.lower_all` — along the
 requested frontend's route only — once per ``(database, frontend,
-text)`` triple and memoized, so a warm request costs two cache probes
-(compile memo + result cache) before the response is written.
+text)`` triple and memoized, so a warm request costs three cache probes
+(compile memo, prepared-plan memo, result cache) before the response is
+written.  :meth:`Catalog.compiled` is the compile memo's non-blocking
+probe, which lets the server answer such a request on its event loop.
 
 Thread safety: construction and the compile memo run under locks
 (the server evaluates on a thread pool); live engines are themselves
@@ -36,7 +38,7 @@ from ..fcf.database import FcfDatabase
 from ..fcf.relation import cofinite_value, finite_value
 from ..logic import parse as parse_formula
 from ..qlhs.parser import parse_program, parse_term
-from ..util.memo import lru_cached
+from ..util.memo import MISS, lru_cached
 from .config import DatabaseSpec, ServeConfig
 
 #: The frontend names ``POST /eval`` accepts, in docs order.
@@ -181,6 +183,17 @@ class Catalog:
                 "unknown_frontend",
                 f"no frontend {frontend!r}; choose from {FRONTENDS}")
         return self._compile(name, frontend, text)
+
+    def compiled(self, name: str, frontend: str, text: str):
+        """The memoized :meth:`compile` result, or ``None``.
+
+        Never compiles and never waits: text not compiled yet, text
+        whose compilation failed, and a compile memo busy on another
+        thread (its lock is held for a whole lowering) all read as
+        ``None``.  A hit counts as a memo hit.
+        """
+        got = self._compile.peek(name, frontend, text)
+        return None if got is MISS else got
 
     def _compile_uncached(self, name: str, frontend: str, text: str):
         """The compile body behind the memo: parse, then lower along

@@ -6,7 +6,12 @@ one shared :class:`~repro.engine.cache.EngineCache`, a
 :class:`~repro.serve.tenants.TenantRegistry` enforcing quotas, a
 :class:`~repro.trace.TraceRecorder` ring buffer, and a thread pool the
 (CPU-bound, thread-safe) engine evaluations actually run on so the
-event loop stays responsive.
+event loop stays responsive.  A ``/eval`` whose answer the memos
+already hold — compile memo, prepared-plan memo, result cache — is
+answered on the event loop itself, with no thread hop and no store
+read: the loop only probes those memos, never waiting on a lock held
+across a computation and never computing, so a cold or diverging
+evaluation on the pool cannot stall it.
 
 Endpoints (full request/response schema in ``docs/serving.md``)::
 
@@ -25,11 +30,14 @@ with a machine-readable reason.  *Admission* failures are HTTP errors:
 requests, 403 for undeclared tenants.  One tenant's refusals never
 block another tenant's requests.
 
-Tracing across the event loop: request handling opens its
-``serve.request`` span on the *worker thread* that evaluates (the span
-stack is thread-local, and coroutines must not hold spans open across
-``await``), so engine spans nest under it naturally; admission
-metadata is attached to the same span before evaluation begins.
+Tracing across the event loop: a request answered from the memos
+records its ``serve.request`` span on the loop thread, around the
+probe alone (nothing inside it awaits).  Any other request opens its
+span on the *worker thread* that evaluates (the span stack is
+thread-local, and coroutines must not hold spans open across
+``await``), so engine spans nest under it naturally; the loop's failed
+probe is discarded, so every request records one ``serve.request``
+span.
 """
 
 from __future__ import annotations
@@ -86,8 +94,9 @@ class ServeApp:
         Path of a durable :class:`repro.store.Store` sqlite file
         (overrides ``config.store`` when given).  When either is set,
         persisted results load into the shared cache at construction,
-        every request probes the store's replayable verdicts under the
-        budget-class rule, and new verdicts write through.
+        every request the memos cannot answer probes the store's
+        replayable verdicts under the budget-class rule, and new
+        verdicts write through.
     """
 
     def __init__(self, config: ServeConfig | None = None, *,
@@ -110,6 +119,7 @@ class ServeApp:
         self.store_loaded = {"loaded": 0, "skipped": 0}
         self._store_hits = 0
         self._store_writes = 0
+        self._answered_on_loop = 0
         store_path = store if store is not None else self.config.store
         if store_path:
             from ..store import Store
@@ -273,11 +283,15 @@ class ServeApp:
     # -- POST /eval ----------------------------------------------------------
 
     async def _eval(self, request: Request) -> bytes:
-        """One query, one JSON verdict (or a raised admission error)."""
+        """One query, one JSON verdict (or a raised admission error).
+
+        Answered on the event loop when the memos hold the answer
+        (:meth:`_answer_from_memos`); otherwise evaluated on the pool,
+        behind the store probe, with write-through.
+        """
         database, frontend, tenant, query = self._eval_fields(
             request, batch=False)
         budget = tenant.admit()
-        loop = asyncio.get_running_loop()
 
         def work() -> tuple[Verdict, float]:
             t0 = time.perf_counter()
@@ -298,7 +312,12 @@ class ServeApp:
 
         statuses: list[str] = []
         try:
-            verdict, wall = await loop.run_in_executor(self.pool, work)
+            answered = self._answer_from_memos(database, frontend, tenant,
+                                               query, budget)
+            if answered is None:
+                loop = asyncio.get_running_loop()
+                answered = await loop.run_in_executor(self.pool, work)
+            verdict, wall = answered
             statuses.append(verdict.status)
         finally:
             tenant.settle(budget, verdicts=statuses)
@@ -306,6 +325,39 @@ class ServeApp:
         body.update(database=database, frontend=frontend,
                     tenant=tenant.name, wall_us=int(wall * 1e6))
         return json_response(200, body)
+
+    def _answer_from_memos(self, database: str, frontend: str, tenant,
+                           query: str,
+                           budget) -> tuple[Verdict, float] | None:
+        """The warm answer to one ``/eval``, or ``None`` on any miss.
+
+        Runs on the event loop, so it only probes: the compile memo
+        (:meth:`Catalog.compiled <repro.serve.catalog.Catalog.compiled>`),
+        then the prepared-plan memo and the result cache
+        (:meth:`Engine.cached_verdict
+        <repro.engine.executor.Engine.cached_verdict>`).  None of them
+        computes or waits on a lock held across a computation.  The
+        result cache holds only completed values, which answer any
+        budget (genericity, Definition 2.4, and the store's
+        budget-class rule), so a hit needs neither the pool nor the
+        store; ``UNKNOWN`` answers always miss here and replay from the
+        store on the pool.
+        """
+        t0 = time.perf_counter()
+        with span("serve.request", endpoint="/eval",
+                  tenant=tenant.name, database=database,
+                  frontend=frontend) as sp:
+            compiled = self.catalog.compiled(database, frontend, query)
+            verdict = (None if compiled is None
+                       else compiled[0].cached_verdict(compiled[1]))
+            if verdict is None:
+                sp.discard()  # the pool's serve.request span follows
+                return None
+            sp.set(verdict=verdict.status, answered="loop")
+            sp.count("steps", budget.steps)
+        with self._counter_lock:
+            self._answered_on_loop += 1
+        return verdict, time.perf_counter() - t0
 
     # -- POST /eval_batch ----------------------------------------------------
 
@@ -405,6 +457,7 @@ class ServeApp:
             "server": {
                 "uptime_s": time.monotonic() - self.started_at,
                 "requests": self.requests_seen,
+                "answered_on_loop": self._answered_on_loop,
                 "workers": self.config.workers,
                 "built": self.catalog.built(),
             },

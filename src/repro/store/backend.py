@@ -36,11 +36,15 @@ Within one process a :class:`Store` is thread-safe (one connection
 behind a lock — serving-tier write-through happens on pool threads).
 All writes are idempotent upserts: two processes persisting the same
 entry converge on one row.
+
+Each call encodes its plan once: a write derives the plan hash from the
+canonical text it stores (:func:`~repro.store.codec.text_hash`) and
+lands the ``plans`` and ``results`` rows in one transaction, and a
+lookup reads every row of its key with one ``SELECT``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sqlite3
 import threading
@@ -119,9 +123,9 @@ class Store:
         durability and the cross-process sharing.
 
     Use as a context manager or call :meth:`close` explicitly; every
-    write commits immediately (autocommit), so a killed process loses
-    at most the write in flight — WAL guarantees the file stays
-    consistent.
+    write commits immediately (one transaction per entry), so a killed
+    process loses at most the write in flight — WAL guarantees the file
+    stays consistent.
     """
 
     def __init__(self, path: str | Path):
@@ -209,7 +213,6 @@ class Store:
         foreign value types are skipped, never errors.
         """
         try:
-            phash = codec.plan_hash(plan)
             plan_text = codec.canonical_plan_text(plan)
             args_text = codec.args_to_json(args)
             value_text = json.dumps(codec.value_to_json(value),
@@ -217,15 +220,8 @@ class Store:
                                     separators=(",", ":"))
         except RepresentationError:
             return False
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO plans (plan_hash, plan) "
-                "VALUES (?, ?)", (phash, plan_text))
-            self._conn.execute(
-                "INSERT OR REPLACE INTO results (fingerprint, plan_hash, "
-                "args, budget_class, status, reason, steps, value) "
-                "VALUES (?, ?, ?, ?, 'value', NULL, NULL, ?)",
-                (fingerprint, phash, args_text, ANY_BUDGET, value_text))
+        self.insert_value_row(fingerprint, plan_text, args_text,
+                              value_text)
         return True
 
     def put_verdict(self, fingerprint: str, plan, verdict: Verdict,
@@ -252,21 +248,12 @@ class Store:
             # an "inf"-class UNKNOWN row would be contradictory.
             return False
         try:
-            phash = codec.plan_hash(plan)
             plan_text = codec.canonical_plan_text(plan)
         except RepresentationError:
             return False
-        cls = codec.budget_class(max_steps)
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO plans (plan_hash, plan) "
-                "VALUES (?, ?)", (phash, plan_text))
-            self._conn.execute(
-                "INSERT OR REPLACE INTO results (fingerprint, plan_hash, "
-                "args, budget_class, status, reason, steps, value) "
-                "VALUES (?, ?, ?, ?, 'unknown', ?, ?, NULL)",
-                (fingerprint, phash, codec.args_to_json(()), cls,
-                 verdict.reason, verdict.steps))
+        self.insert_verdict_row(fingerprint, plan_text,
+                                codec.budget_class(max_steps),
+                                verdict.reason, verdict.steps)
         return True
 
     def insert_value_row(self, fingerprint: str, plan_text: str,
@@ -279,16 +266,8 @@ class Store:
         plan hash is recomputed here from the canonical text, keeping
         the text↔hash pairing an invariant of this module.
         """
-        phash = hashlib.sha256(plan_text.encode("utf-8")).hexdigest()
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO plans (plan_hash, plan) "
-                "VALUES (?, ?)", (phash, plan_text))
-            self._conn.execute(
-                "INSERT OR REPLACE INTO results (fingerprint, plan_hash, "
-                "args, budget_class, status, reason, steps, value) "
-                "VALUES (?, ?, ?, ?, 'value', NULL, NULL, ?)",
-                (fingerprint, phash, args_text, ANY_BUDGET, value_text))
+        self._write_row(fingerprint, plan_text, args_text, ANY_BUDGET,
+                        "value", None, None, value_text)
 
     def insert_verdict_row(self, fingerprint: str, plan_text: str,
                            cls: str, reason: str,
@@ -299,17 +278,27 @@ class Store:
         ``cls`` the finite budget class it was computed under — the
         same discipline :meth:`put_verdict` enforces for live verdicts.
         """
-        phash = hashlib.sha256(plan_text.encode("utf-8")).hexdigest()
-        with self._lock:
+        self._write_row(fingerprint, plan_text, codec.args_to_json(()),
+                        cls, "unknown", reason, steps, None)
+
+    def _write_row(self, fingerprint: str, plan_text: str,
+                   args_text: str, cls: str, status: str,
+                   reason: str | None, steps: int | None,
+                   value_text: str | None) -> None:
+        """Upsert one ``plans`` row and one ``results`` row in a single
+        transaction, hashing the canonical plan text once."""
+        phash = codec.text_hash(plan_text)
+        with self._lock, self._conn:
+            self._conn.execute("BEGIN IMMEDIATE")
             self._conn.execute(
                 "INSERT OR REPLACE INTO plans (plan_hash, plan) "
                 "VALUES (?, ?)", (phash, plan_text))
             self._conn.execute(
                 "INSERT OR REPLACE INTO results (fingerprint, plan_hash, "
                 "args, budget_class, status, reason, steps, value) "
-                "VALUES (?, ?, ?, ?, 'unknown', ?, ?, NULL)",
-                (fingerprint, phash, codec.args_to_json(()), cls,
-                 reason, steps))
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (fingerprint, phash, args_text, cls, status, reason,
+                 steps, value_text))
 
     # -- reading results -----------------------------------------------------
 
@@ -343,24 +332,29 @@ class Store:
           request's ``max_steps`` is **at most** the row's recorded
           class — a larger (or unbounded) budget must recompute, since
           it might complete.
+
+        The plan is encoded once, and one ``SELECT`` reads the key's
+        value row and its UNKNOWN rows together.
         """
-        value = self.lookup_value(fingerprint, plan)
-        if value is not None:
-            return Verdict.of(_truth(value), value=value)
         try:
             phash = codec.plan_hash(plan)
         except RepresentationError:
             return None
         with self._lock:
             rows = self._conn.execute(
-                "SELECT budget_class, reason, steps FROM results "
-                "WHERE fingerprint=? AND plan_hash=? AND args=? AND "
-                "status='unknown'",
-                (fingerprint, phash,
-                 codec.args_to_json(()))).fetchall()
+                "SELECT budget_class, status, reason, steps, value "
+                "FROM results WHERE fingerprint=? AND plan_hash=? AND "
+                "args=?",
+                (fingerprint, phash, codec.args_to_json(()))).fetchall()
+        for cls, __, __, __, value_text in rows:
+            if cls == ANY_BUDGET:
+                value = codec.value_from_json(json.loads(value_text))
+                return Verdict.of(_truth(value), value=value)
         if max_steps is None:
             return None  # unbounded request: no finite UNKNOWN applies
-        for cls, reason, steps in rows:
+        for cls, status, reason, steps, __ in rows:
+            if status != "unknown":
+                continue
             recorded = codec.budget_class_steps(cls)
             if recorded is None or max_steps <= recorded:
                 return Verdict.unknown(reason, steps=steps)

@@ -299,8 +299,13 @@ def plan_hash(plan: Plan) -> str:
     Stable across processes and restarts (unlike Python's per-process
     salted ``hash()``), and equal exactly for structurally equal plans.
     """
-    return hashlib.sha256(
-        canonical_plan_text(plan).encode("utf-8")).hexdigest()
+    return text_hash(canonical_plan_text(plan))
+
+
+def text_hash(plan_text: str) -> str:
+    """:func:`plan_hash` from a canonical text already at hand, so a
+    caller that needs both encodes the plan once."""
+    return hashlib.sha256(plan_text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -337,22 +337,13 @@ def _match_copies(kinds: list[_Component], u: tuple, v: tuple,
     if any(len(by_kind_u[t]) != len(by_kind_v[t]) for t in by_kind_u):
         return False
 
-    kind_orders = sorted(by_kind_u)
-
-    def try_kind(t_index: int) -> bool:
-        if t_index == len(kind_orders):
-            return True
-        t = kind_orders[t_index]
-        slots_u = by_kind_u[t]
-        for perm in permutations(by_kind_v[t]):
-            mapping = dict(zip(slots_u, perm))
-            if all(_copy_pair_ok(kinds[t], cu, cv, u, v)
-                   for cu, cv in mapping.items()):
-                if try_kind(t_index + 1):
-                    return True
-        return False
-
-    return try_kind(0)
+    # Copies of different kinds never map to each other, so the kinds
+    # are independent: the bijection exists iff each kind has one.
+    return all(
+        any(all(_copy_pair_ok(kinds[t], cu, cv, u, v)
+                for cu, cv in zip(by_kind_u[t], perm))
+            for perm in permutations(by_kind_v[t]))
+        for t in sorted(by_kind_u))
 
 
 def _copy_pair_ok(kind: _Component, cu: tuple[int, int], cv: tuple[int, int],

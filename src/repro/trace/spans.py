@@ -70,6 +70,7 @@ class Span:
     duration: float | None = None
     status: str = STATUS_OK
     counters: dict = field(default_factory=dict)
+    discarded: bool = field(default=False, repr=False, compare=False)
 
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to this span's integer counter ``name``."""
@@ -78,6 +79,12 @@ class Span:
     def set(self, **attrs) -> None:
         """Attach (or overwrite) attributes on this span."""
         self.attrs.update(attrs)
+
+    def discard(self) -> None:
+        """Leave this span out of the trace: it is not recorded when it
+        closes.  For a probe that hands its work to a span opened
+        elsewhere, so one unit of work records one span."""
+        self.discarded = True
 
     def to_record(self, epoch: float = 0.0) -> dict:
         """A JSON-safe dict (one JSONL line), times in µs from ``epoch``."""
@@ -116,6 +123,9 @@ class _NullSpan:
 
     def set(self, **attrs) -> None:
         """No-op attribute setter."""
+
+    def discard(self) -> None:
+        """No-op (nothing is recorded anyway)."""
 
 
 NULL_SPAN = _NullSpan()
@@ -209,7 +219,7 @@ class _SpanCM:
             else:
                 sp.status = STATUS_ERROR
         recorder = _recorder
-        if recorder is not None:
+        if recorder is not None and not sp.discarded:
             recorder.record(sp)
         return None
 

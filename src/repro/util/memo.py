@@ -11,6 +11,8 @@ holds one re-entrant lock around lookup, computation, and insertion, so
 a cold key is computed exactly once even under contention — the memoized
 functions here are pure, so serializing their first computation is the
 cheap correct choice, and a warm hit pays only one uncontended acquire.
+A caller that must not wait behind someone else's computation (the
+serving tier's event loop) probes with ``.peek``, which never blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ R = TypeVar("R")
 # Sentinel separating positional from keyword arguments in cache keys;
 # an object() cannot collide with user-supplied hashable arguments.
 _KWD_MARK = object()
+
+#: What ``.peek`` returns when the memo cannot answer (a miss, or a
+#: lock held by another thread).
+MISS = object()
 
 
 def _make_key(args: tuple, kwargs: dict) -> Hashable:
@@ -56,6 +62,11 @@ def lru_cached(maxsize: int = 65536) -> Callable[[Callable[..., R]], Callable[..
     ``.prime(result, *args, **kwargs)`` records ``result`` as the value
     of a call without making it or counting it — for a caller that
     knows another call's answer, such as a fixpoint ``f(f(x)) == f(x)``.
+    ``.peek(*args, **kwargs)`` answers a call from the memo alone: the
+    memoized value (a counted hit that refreshes LRU order) or
+    :data:`MISS` (counted nowhere).  It never calls the function and
+    never waits for the lock — since the lock is held for a whole cold
+    computation, a lock held by another thread reads as a miss.
 
     The wrapper is **thread-safe**: one re-entrant lock guards the
     cache and its counters, held across the underlying call too, so a
@@ -90,6 +101,37 @@ def lru_cached(maxsize: int = 65536) -> Callable[[Callable[..., R]], Callable[..
         (6, 6)
         >>> scaled.hits, scaled.misses
         (1, 1)
+
+    ``peek`` never computes, reads a lock held elsewhere as a miss, and
+    counts its hits but not its misses::
+
+        >>> import threading
+        >>> @lru_cached()
+        ... def double(n):
+        ...     print("computing", n)
+        ...     return 2 * n
+        >>> double.peek(3) is MISS
+        True
+        >>> double(3)
+        computing 3
+        6
+        >>> double.peek(3), double.hits, double.misses
+        (6, 1, 1)
+        >>> held, release = threading.Event(), threading.Event()
+        >>> def hold():
+        ...     with double.lock:
+        ...         held.set()
+        ...         release.wait(5)
+        >>> holder = threading.Thread(target=hold)
+        >>> holder.start(); held.wait(5)
+        True
+        >>> double.peek(3) is MISS
+        True
+        >>> release.set(); holder.join(5)
+        >>> double.peek(4) is MISS
+        True
+        >>> double.hits, double.misses
+        (1, 1)
     """
 
     def decorate(fn: Callable[..., R]) -> Callable[..., R]:
@@ -122,6 +164,19 @@ def lru_cached(maxsize: int = 65536) -> Callable[[Callable[..., R]], Callable[..
             with lock:
                 store(_make_key(args, kwargs), result)
 
+        def peek(*args: Hashable, **kwargs: Hashable) -> R:
+            key = _make_key(args, kwargs)
+            if not lock.acquire(blocking=False):
+                return MISS  # type: ignore[return-value]
+            try:
+                if key not in cache:
+                    return MISS  # type: ignore[return-value]
+                cache.move_to_end(key)
+                wrapper.hits += 1  # type: ignore[attr-defined]
+                return cache[key]
+            finally:
+                lock.release()
+
         def cache_clear() -> None:
             with lock:
                 cache.clear()
@@ -136,6 +191,7 @@ def lru_cached(maxsize: int = 65536) -> Callable[[Callable[..., R]], Callable[..
         wrapper.evictions = 0  # type: ignore[attr-defined]
         wrapper.cache_clear = cache_clear  # type: ignore[attr-defined]
         wrapper.prime = prime  # type: ignore[attr-defined]
+        wrapper.peek = peek  # type: ignore[attr-defined]
         return wrapper
 
     return decorate

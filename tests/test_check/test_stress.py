@@ -90,6 +90,22 @@ class TestIndividualHammers:
         assert any("expected exactly" in f or "lost updates" in f
                    for f in report["failures"])
 
+    def test_memo_hammer_detects_a_computing_peek(self, monkeypatch):
+        """A peek that falls back to calling the function is flagged,
+        though its traffic would count exactly like a call's."""
+        real = stress.lru_cached
+
+        def computing(maxsize):
+            def decorate(fn):
+                memo = real(maxsize)(fn)
+                memo.peek = memo
+                return memo
+            return decorate
+
+        monkeypatch.setattr(stress, "lru_cached", computing)
+        report = hammer_memo(1, **SMALL)
+        assert any("peeks computed" in f for f in report["failures"])
+
     def test_switch_interval_restored(self):
         before = sys.getswitchinterval()
         hammer_budget(2, threads=2, ops=50)

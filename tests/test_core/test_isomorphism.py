@@ -1,5 +1,7 @@
 """Tests for local isomorphism (Proposition 2.2) and finite isomorphism search."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,6 +131,18 @@ class TestFiniteIsomorphism:
         B = database_from_predicates([(1, lambda x: x == 0)])
         with pytest.raises(TypeSignatureError):
             finite_isomorphism(B, B)
+
+    def test_search_leaves_no_reference_cycle(self):
+        # Reference counting alone frees a finished search; a recursive
+        # closure would leave a cycle for the cyclic collector.
+        A, B = path_graph(4, "A"), path_graph(4, "B")
+        gc.collect()
+        gc.disable()
+        try:
+            assert finite_isomorphism(A, B, fixing={0: 3}) is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAutomorphisms:

@@ -198,6 +198,64 @@ class TestBulkIngestRows:
         assert store.lookup_verdict(FP, plan, 600) is None
 
 
+class TestOneEncodingPerCall:
+    """A lookup or a put encodes its plan once; a lookup is one SELECT
+    and a put lands its two rows in one transaction."""
+
+    PLAN = Complement(Scan(0))
+
+    @pytest.fixture
+    def encodings(self, monkeypatch):
+        """How often the plan under test was encoded (the codec recurses
+        into children, so only calls on the root plan count)."""
+        from repro.store import codec
+        roots = []
+        encode = codec.plan_to_json
+
+        def counting(plan):
+            roots.append(plan is self.PLAN)
+            return encode(plan)
+
+        monkeypatch.setattr(codec, "plan_to_json", counting)
+        return roots
+
+    @pytest.fixture
+    def statements(self, store):
+        seen = []
+        store._conn.set_trace_callback(seen.append)
+        yield seen
+        store._conn.set_trace_callback(None)
+
+    def test_lookup_miss(self, store, encodings, statements):
+        assert store.lookup_verdict(FP, self.PLAN, 500) is None
+        assert sum(encodings) == 1
+        assert len(statements) == 1
+        assert statements[0].startswith("SELECT")
+
+    @pytest.mark.parametrize("verdict", [
+        Verdict.of(True, value=True),
+        Verdict.unknown("out_of_fuel", steps=501)])
+    def test_put(self, store, encodings, statements, verdict):
+        assert store.put_verdict(FP, self.PLAN, verdict, 500)
+        assert sum(encodings) == 1
+        assert [s.split(" ")[0] for s in statements] == [
+            "BEGIN", "INSERT", "INSERT", "COMMIT"]
+
+    def test_rows_are_unchanged(self, store):
+        store.put_value(FP, self.PLAN, True)
+        store.put_verdict(FP, self.PLAN,
+                          Verdict.unknown("out_of_fuel", steps=501), 500)
+        phash = plan_hash(self.PLAN)
+        assert store._conn.execute("SELECT * FROM plans").fetchall() == [
+            (phash, canonical_plan_text(self.PLAN))]
+        assert store._conn.execute(
+            "SELECT * FROM results ORDER BY budget_class").fetchall() == [
+            (FP, phash, args_to_json(()), ANY_BUDGET, "value", None, None,
+             '{"k":"bool","v":true}'),
+            (FP, phash, args_to_json(()), "500", "unknown", "out_of_fuel",
+             501, None)]
+
+
 class TestSnapshotAndReload:
     def entries(self):
         return [

@@ -1,5 +1,7 @@
 """Tests for hs-r-db constructions: clique, blow-ups, component unions."""
 
+import gc
+
 import pytest
 
 from repro.core import finite_database
@@ -127,6 +129,21 @@ class TestComponentUnion:
         tri_edge = ((0, 0, 0), (0, 0, 1))
         k2_edge = ((1, 0, 0), (1, 0, 1))
         assert not cu.equivalent(tri_edge, k2_edge)
+
+    def test_equivalence_leaves_no_reference_cycle(self):
+        # The copy matching is a plain expression over the kinds, not a
+        # recursive closure, so an oracle question leaves no cycle.
+        cu = component_union([(triangle(), INFINITE),
+                              (single_edge(), INFINITE)])
+        u = ((0, 3, 0), (0, 3, 1), (1, 2, 0))
+        v = ((0, 9, 2), (0, 9, 0), (1, 4, 1))
+        gc.collect()
+        gc.disable()
+        try:
+            assert cu.equivalent(u, v)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_cross_copy_pairs(self):
         """Pairs spanning two K3 copies are equivalent regardless of copies."""

@@ -3,9 +3,11 @@
 Starts a real ``python -m repro serve`` process on an ephemeral-ish
 port, waits for ``/healthz``, then exercises the client surface the
 way the CI ``serve-smoke`` job requires: single eval on every
-frontend, eval_batch streaming (member lines before the summary
-line), 429-on-quota with tenant isolation, ``/stats``, and the
-differential oracle.  The server runs in its own process group, and
+frontend, repeated so each repeat must be answered on the event loop
+(``/stats`` ``server.answered_on_loop`` rises by one per repeat),
+eval_batch streaming (member lines before the summary line),
+429-on-quota with tenant isolation, ``/stats``, and the differential
+oracle.  The server runs in its own process group, and
 once it has exited nothing may be left in that group: a process that
 outlives ``repro serve`` fails the smoke.  Exits non-zero on any
 failure, killing the server's whole group either way.
@@ -65,15 +67,23 @@ def smoke(base_url: str) -> None:
     """The smoke sequence; raises on any broken expectation."""
     client = ServeClient(base_url)
 
-    print("== eval on every frontend ==")
-    for database, frontend, query, expected in [
-            ("rado", "fo", "forall x. exists y. R1(x, y)", "true"),
-            ("rado", "qlhs", "R1 & !R1", "false"),
-            ("rado", "gmhs", "exists x. R1(x, x)", "false"),
-            ("pair", "qlf", "R1 & swap(R1)", "true")]:
+    print("== eval on every frontend, then again from the memos ==")
+    cases = [("rado", "fo", "forall x. exists y. R1(x, y)", "true"),
+             ("rado", "qlhs", "R1 & !R1", "false"),
+             ("rado", "gmhs", "exists x. R1(x, x)", "false"),
+             ("pair", "qlf", "R1 & swap(R1)", "true")]
+    for database, frontend, query, expected in cases:
         body = client.eval(database, query, frontend=frontend)
         assert body["status"] == expected, (frontend, body)
         print(f"  {frontend:>4}: {database} |= {query!r} -> {body['status']}")
+    on_loop = client.stats()["server"]["answered_on_loop"]
+    for database, frontend, query, expected in cases:
+        body = client.eval(database, query, frontend=frontend)
+        assert body["status"] == expected, (frontend, body)
+    answered = client.stats()["server"]["answered_on_loop"] - on_loop
+    assert answered >= len(cases), \
+        f"only {answered} of {len(cases)} warm repeats answered on the loop"
+    print(f"  {answered} warm repeats answered on the event loop")
 
     print("== eval_batch streaming ==")
     lines = list(client.eval_batch(
