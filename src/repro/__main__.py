@@ -77,6 +77,7 @@ from __future__ import annotations
 import sys
 
 from . import __version__
+from .util.cli import parse_number
 
 
 def _builtin_hsdb(name: str):
@@ -112,11 +113,12 @@ def cmd_classes(args: list[str]) -> int:
     """``classes TYPE RANK`` — count ≅ₗ equivalence classes."""
     from .core import count_local_types
 
+    usage = "usage: python -m repro classes TYPE RANK (e.g. classes 2,1 2)"
     if len(args) != 2:
-        raise SystemExit("usage: python -m repro classes TYPE RANK "
-                         "(e.g. classes 2,1 2)")
-    signature = tuple(int(a) for a in args[0].split(","))
-    rank = int(args[1])
+        raise SystemExit(usage)
+    signature = tuple(parse_number("TYPE", a, int, usage)
+                      for a in args[0].split(","))
+    rank = parse_number("RANK", args[1], int, usage)
     total = count_local_types(signature, rank)
     print(f"type {signature}, rank {rank}: {total} classes of local "
           "isomorphism")
@@ -125,10 +127,11 @@ def cmd_classes(args: list[str]) -> int:
 
 def cmd_tree(args: list[str]) -> int:
     """``tree NAME [DEPTH]`` — print a characteristic tree."""
+    usage = "usage: python -m repro tree NAME [DEPTH]"
     if not args:
-        raise SystemExit("usage: python -m repro tree NAME [DEPTH]")
+        raise SystemExit(usage)
     hsdb = _builtin_hsdb(args[0])
-    depth = int(args[1]) if len(args) > 1 else 2
+    depth = parse_number("DEPTH", args[1], int, usage) if len(args) > 1 else 2
     print(f"{hsdb.name}: characteristic tree to depth {depth}")
     for n in range(depth + 1):
         level = hsdb.tree.level(n)
@@ -158,6 +161,8 @@ def cmd_engine(args: list[str]) -> int:
     from .engine import Engine, plan_from_sentence
     from .logic import parse
 
+    usage = ('usage: python -m repro engine NAME "SENTENCE" '
+             "[--repeat=N] [--stats] [--no-optimize] [--no-compile]")
     flags = [a for a in args if a.startswith("--")]
     positional = [a for a in args if not a.startswith("--")]
     repeat = 1
@@ -172,16 +177,15 @@ def cmd_engine(args: list[str]) -> int:
         elif flag == "--no-compile":
             compiled = False
         elif flag.startswith("--repeat="):
-            repeat = int(flag.split("=", 1)[1])
+            repeat = parse_number("--repeat", flag.split("=", 1)[1], int,
+                                  usage)
         else:
             raise SystemExit(f"unknown flag {flag!r}")
     if "--repeat" in positional:
         # Allow the space-separated form ``--repeat N`` too.
         raise SystemExit("write --repeat=N (e.g. --repeat=100)")
     if len(positional) != 2:
-        raise SystemExit(
-            'usage: python -m repro engine NAME "SENTENCE" '
-            "[--repeat=N] [--stats] [--no-optimize] [--no-compile]")
+        raise SystemExit(usage)
     if repeat < 1:
         raise SystemExit("--repeat must be >= 1")
 
@@ -239,6 +243,8 @@ def cmd_serve(args: list[str]) -> int:
 
     from .serve import default_config, load_config, serve_forever
 
+    usage = ("usage: python -m repro serve [--config=FILE] [--host=H] "
+             "[--port=P] [--store=DB] [--print-config]")
     config_path = None
     host = None
     port = None
@@ -250,15 +256,13 @@ def cmd_serve(args: list[str]) -> int:
         elif arg.startswith("--host="):
             host = arg.split("=", 1)[1]
         elif arg.startswith("--port="):
-            port = int(arg.split("=", 1)[1])
+            port = parse_number("--port", arg.split("=", 1)[1], int, usage)
         elif arg.startswith("--store="):
             store = arg.split("=", 1)[1]
         elif arg == "--print-config":
             print_config = True
         else:
-            raise SystemExit(
-                "usage: python -m repro serve [--config=FILE] [--host=H] "
-                "[--port=P] [--store=DB] [--print-config]")
+            raise SystemExit(usage)
     config = (load_config(config_path) if config_path is not None
               else default_config())
     if print_config:
@@ -272,9 +276,11 @@ def cmd_ingest(args: list[str]) -> int:
     durable store across worker processes."""
     import json
 
-    from .store.ingest import ingest_manifest, load_manifest
+    from .store.ingest import ManifestError, ingest_manifest, load_manifest
     from .trace import limits
 
+    usage = ("usage: python -m repro ingest MANIFEST --store=DB "
+             "[--workers=N] [--budget-steps=B] [--no-optimize]")
     manifest_path = None
     store = None
     workers = 1
@@ -284,24 +290,25 @@ def cmd_ingest(args: list[str]) -> int:
         if arg.startswith("--store="):
             store = arg.split("=", 1)[1]
         elif arg.startswith("--workers="):
-            workers = int(arg.split("=", 1)[1])
+            workers = parse_number("--workers", arg.split("=", 1)[1], int,
+                                   usage)
         elif arg.startswith("--budget-steps="):
-            budget_steps = int(arg.split("=", 1)[1])
+            budget_steps = parse_number(
+                "--budget-steps", arg.split("=", 1)[1], int, usage)
         elif arg == "--no-optimize":
             optimize = False
         elif not arg.startswith("--") and manifest_path is None:
             manifest_path = arg
         else:
-            raise SystemExit(
-                "usage: python -m repro ingest MANIFEST --store=DB "
-                "[--workers=N] [--budget-steps=B] [--no-optimize]")
+            raise SystemExit(usage)
     if manifest_path is None or store is None:
-        raise SystemExit(
-            "usage: python -m repro ingest MANIFEST --store=DB "
-            "[--workers=N] [--budget-steps=B] [--no-optimize]")
+        raise SystemExit(usage)
     if workers < 1:
         raise SystemExit("--workers must be >= 1")
-    manifest = load_manifest(manifest_path)
+    try:
+        manifest = load_manifest(manifest_path)
+    except ManifestError as exc:
+        raise SystemExit(str(exc)) from None
     report = ingest_manifest(manifest, store, workers=workers,
                              budget_steps=budget_steps,
                              optimize=optimize)

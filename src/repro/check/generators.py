@@ -40,9 +40,9 @@ from ..qlhs import ast as q
 #: Builders of the built-in hs-r-dbs the checker draws from.
 BUILTIN_HSDBS = ("clique", "k3k2", "triangles", "rado")
 
-#: Largest constant used in random fcf databases (small ``Df`` keeps
-#: the Proposition 4.1 characteristic trees cheap).
-MAX_CONSTANT = 3
+#: Largest constant used in random fcf databases: ``|Df| <= 8``, which
+#: the backtracking ``Aut(Df)`` search keeps cheap.
+MAX_CONSTANT = 7
 
 #: Largest term/plan rank the generators emit (tree levels grow fast).
 MAX_RANK = 3
@@ -50,9 +50,10 @@ MAX_RANK = 3
 #: Probe tuples per rank for pointwise membership comparisons.
 PROBES = {
     0: [()],
-    1: [(x,) for x in (0, 1, 2, 3, 9)],
-    2: [(x, y) for x in (0, 1, 2, 3) for y in (0, 1, 2, 3)] + [(9, 9)],
-    3: [(0, 1, 2), (1, 1, 2), (2, 2, 2), (0, 1, 9), (9, 9, 9)],
+    1: [(x,) for x in (0, 1, 2, 3, 5, 7, 9)],
+    2: [(x, y) for x in (0, 1, 2, 3) for y in (0, 1, 2, 3)]
+    + [(4, 7), (7, 0), (6, 6), (9, 9)],
+    3: [(0, 1, 2), (1, 1, 2), (2, 2, 2), (0, 1, 9), (5, 6, 7), (9, 9, 9)],
 }
 
 

@@ -29,6 +29,7 @@ import time
 from collections import Counter
 
 from ..trace import span
+from ..util.cli import parse_number
 from .generators import Case, gen_case
 from .oracles import (
     DEFAULT_CASE_STEPS,
@@ -379,6 +380,10 @@ def main(args: list[str]) -> int:
     threads = stress_mod.DEFAULT_THREADS
     ops = stress_mod.DEFAULT_OPS
 
+    usage = ("usage: python -m repro check "
+             "[--stress] [--seed=N] [--cases=K] [--budget-s=S] "
+             "[--out=F] [--emit-dir=D] [--steps=N] [--threads=T] "
+             "[--ops=K] [--workers=W] [--hammers=A,B] [--quiet]")
     it = iter(args)
     for arg in it:
         if "=" in arg:
@@ -390,23 +395,23 @@ def main(args: list[str]) -> int:
             if value is None:
                 raise SystemExit(f"flag {flag!r} needs a value")
         if flag == "--seed":
-            seed = int(value)
+            seed = parse_number(flag, value, int, usage)
         elif flag == "--cases":
-            cases = int(value)
+            cases = parse_number(flag, value, int, usage)
         elif flag == "--budget-s":
-            budget_s = float(value)
+            budget_s = parse_number(flag, value, float, usage)
         elif flag == "--out":
             out = value
         elif flag == "--emit-dir":
             emit_dir = value
         elif flag == "--steps":
-            steps = int(value)
+            steps = parse_number(flag, value, int, usage)
         elif flag == "--threads":
-            threads = int(value)
+            threads = parse_number(flag, value, int, usage)
         elif flag == "--ops":
-            ops = int(value)
+            ops = parse_number(flag, value, int, usage)
         elif flag == "--workers":
-            workers = int(value)
+            workers = parse_number(flag, value, int, usage)
         elif flag == "--hammers":
             hammers = value
         elif flag == "--stress":
@@ -414,11 +419,7 @@ def main(args: list[str]) -> int:
         elif flag == "--quiet":
             verbose = False
         else:
-            raise SystemExit(
-                f"unknown flag {flag!r}; usage: python -m repro check "
-                "[--stress] [--seed=N] [--cases=K] [--budget-s=S] "
-                "[--out=F] [--emit-dir=D] [--steps=N] [--threads=T] "
-                "[--ops=K] [--workers=W] [--hammers=A,B] [--quiet]")
+            raise SystemExit(f"unknown flag {flag!r}; {usage}")
 
     if stress:
         report = stress_mod.run_stress(

@@ -14,15 +14,17 @@ Definition 2.2 distinguishes three notions for pointed databases
    everything in Section 2 is built on.
 
 This module implements the decidable pieces: the local-isomorphism test
-exactly as in the proof of Proposition 2.2, and exhaustive isomorphism
-search for databases over *finite* domains (the substrate for automorphism
-groups, Theorem 6.1's gadget validation, and the finite QL baseline).
+exactly as in the proof of Proposition 2.2, and one backtracking
+isomorphism search for databases over *finite* domains — the substrate
+for automorphism groups, for ``≅_B`` on databases whose facts sit on a
+finite part (:func:`finite_part_equivalence`), for Theorem 6.1's gadget
+validation, and for the finite QL baseline.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from itertools import permutations
+from collections.abc import Callable, Iterator, Sequence
+from itertools import product
 
 from ..errors import TypeSignatureError
 from ..util.partitions import equality_pattern
@@ -80,127 +82,103 @@ def _finite_universe(db: RecursiveDatabase) -> list[Element]:
     return db.domain.first(db.domain.finite_size)  # type: ignore[arg-type]
 
 
-def _respects_relations(db1: RecursiveDatabase, db2: RecursiveDatabase,
-                        mapping: dict[Element, Element],
-                        elements: Sequence[Element]) -> bool:
-    for i, arity in enumerate(db1.type_signature):
-        for positions in all_position_tuples(len(elements), arity):
-            t = project(elements, positions)
-            image = tuple(mapping[x] for x in t)
-            if db1.contains(i, t) != db2.contains(i, image):
-                return False
-    return True
-
-
-def _element_profile(db: RecursiveDatabase, x: Element,
-                     elements: Sequence[Element]) -> tuple:
-    """An isomorphism-invariant profile of one element: for each relation
-    and each argument position, how many tuples through ``x`` hold.
-
-    Used to prune the backtracking search: an isomorphism can only map
-    elements with equal profiles.
-    """
-    profile = []
+def _element_profiles(db: RecursiveDatabase,
+                      elements: Sequence[Element]) -> dict[Element, tuple]:
+    """An isomorphism-invariant profile of each element — for each
+    relation and argument position, how many tuples through it hold —
+    so the search maps only elements with equal profiles."""
+    counts = {x: [0] * sum(db.type_signature) for x in elements}
+    offset = 0
     for i, arity in enumerate(db.type_signature):
-        for pos in range(arity):
-            count = 0
-            for positions in all_position_tuples(len(elements), arity):
-                t = project(elements, positions)
-                if t[pos] == x and db.contains(i, t):
-                    count += 1
-            profile.append(count)
-    return tuple(profile)
+        for t in product(elements, repeat=arity):
+            if db.contains(i, t):
+                for pos, x in enumerate(t):
+                    counts[x][offset + pos] += 1
+        offset += arity
+    return {x: tuple(c) for x, c in counts.items()}
 
 
 def _partial_consistent(db1: RecursiveDatabase, db2: RecursiveDatabase,
                         mapping: dict[Element, Element],
                         newly: Element) -> bool:
     """Check all atoms whose arguments are already mapped and involve the
-    newly assigned element."""
+    newly assigned element: each tuple once, by the first position
+    holding ``newly`` (earlier positions range over the other mapped
+    elements, later ones over all of them)."""
     assigned = list(mapping)
+    others = [x for x in assigned if x != newly]
     for i, arity in enumerate(db1.type_signature):
-        for positions in all_position_tuples(len(assigned), arity):
-            t = project(assigned, positions)
-            if newly not in t:
-                continue
-            image = tuple(mapping[x] for x in t)
-            if db1.contains(i, t) != db2.contains(i, image):
-                return False
+        for first in range(arity):
+            pools = [others] * first + [[newly]] + \
+                [assigned] * (arity - first - 1)
+            for t in product(*pools):
+                image = tuple(mapping[x] for x in t)
+                if db1.contains(i, t) != db2.contains(i, image):
+                    return False
     return True
 
 
-def finite_isomorphism(db1: RecursiveDatabase, db2: RecursiveDatabase,
-                       fixing: dict[Element, Element] | None = None
-                       ) -> dict[Element, Element] | None:
-    """An isomorphism between finite-domain databases, or None.
+def finite_isomorphisms(db1: RecursiveDatabase, db2: RecursiveDatabase,
+                        fixing: dict[Element, Element] | None = None
+                        ) -> Iterator[dict[Element, Element]]:
+    """Every isomorphism between finite-domain databases that extends
+    ``fixing``, lazily, in lexicographic order of the images of ``db1``'s
+    unfixed elements (by position in ``db2``'s domain).
 
-    ``fixing`` optionally pins part of the bijection (used to decide
-    pointed isomorphism: fix ``uᵢ ↦ vᵢ``).  Backtracking search with
-    incremental atom checking and degree-profile pruning.
+    Backtracking search with incremental atom checking and
+    degree-profile pruning; each fixed pair is searched first, as an
+    element with one candidate.
     """
     db1.check_same_type(db2)
     e1 = _finite_universe(db1)
     e2 = _finite_universe(db2)
-    if len(e1) != len(e2):
-        return None
-    fixing = dict(fixing or {})
-    for x, y in fixing.items():
-        if x not in db1.domain or y not in db2.domain:
-            return None
-    if len(set(fixing.values())) != len(fixing):
-        return None
-
-    profiles1 = {x: _element_profile(db1, x, e1) for x in e1}
-    profiles2 = {y: _element_profile(db2, y, e2) for y in e2}
+    fixing = fixing or {}
+    if len(e1) != len(e2) or any(x not in db1.domain or y not in db2.domain
+                                 for x, y in fixing.items()):
+        return
+    profiles1 = _element_profiles(db1, e1)
+    profiles2 = profiles1 if db2 is db1 else _element_profiles(db2, e2)
     if sorted(profiles1.values()) != sorted(profiles2.values()):
-        return None
-    for x, y in fixing.items():
-        if profiles1[x] != profiles2[y]:
-            return None
-
-    free1 = [x for x in e1 if x not in fixing]
-    used = set(fixing.values())
-    free2 = [y for y in e2 if y not in used]
-    if len(free1) != len(free2):
-        return None
-
-    mapping = dict(fixing)
-    # Validate the fixed part before extending it.
-    for x in fixing:
-        if not _partial_consistent(db1, db2, mapping, x):
-            return None
-
-    pairs = [(x, [y for y in free2 if profiles1[x] == profiles2[y]])
-             for x in free1]
-    if _extend_isomorphism(db1, db2, mapping, pairs, 0):
-        return dict(mapping)
-    return None
+        return
+    order = list(fixing) + [x for x in e1 if x not in fixing]
+    pairs = [(x, [y for y in ([fixing[x]] if x in fixing else e2)
+                  if profiles1[x] == profiles2[y]]) for x in order]
+    yield from _extend_isomorphism(db1, db2, {}, pairs, 0)
 
 
 def _extend_isomorphism(db1: RecursiveDatabase, db2: RecursiveDatabase,
                         mapping: dict[Element, Element],
                         pairs: list[tuple[Element, list[Element]]],
-                        index: int) -> bool:
-    """The backtracking step of :func:`finite_isomorphism`.
-
-    Extends ``mapping`` (in place) over ``pairs[index:]`` — each free
-    element of ``db1`` with its profile-compatible candidates in
-    ``db2`` — keeping it injective and consistent with every relation.
-    A module-level function, not a closure over itself, so a search
-    leaves no reference cycle behind.
+                        index: int) -> Iterator[dict[Element, Element]]:
+    """The backtracking step of :func:`finite_isomorphisms`: yield a copy
+    of every injective, relation-consistent extension of ``mapping``
+    (extended in place) over ``pairs[index:]``, each element of ``db1``
+    with its candidates in ``db2``.  A module-level function, not a
+    closure over itself, so a search leaves no reference cycle behind.
     """
     if index == len(pairs):
-        return True
+        yield dict(mapping)
+        return
     x, candidates = pairs[index]
     for y in candidates:
         if y in mapping.values():
             continue
         mapping[x] = y
-        if _partial_consistent(db1, db2, mapping, x) and \
-                _extend_isomorphism(db1, db2, mapping, pairs, index + 1):
-            return True
+        if _partial_consistent(db1, db2, mapping, x):
+            yield from _extend_isomorphism(db1, db2, mapping, pairs,
+                                           index + 1)
         del mapping[x]
-    return False
+
+
+def finite_isomorphism(db1: RecursiveDatabase, db2: RecursiveDatabase,
+                       fixing: dict[Element, Element] | None = None
+                       ) -> dict[Element, Element] | None:
+    """The first isomorphism :func:`finite_isomorphisms` finds, or None.
+
+    ``fixing`` optionally pins part of the bijection (used to decide
+    pointed isomorphism: fix ``uᵢ ↦ vᵢ``).
+    """
+    return next(finite_isomorphisms(db1, db2, fixing), None)
 
 
 def finite_pointed_isomorphic(p1: PointedDatabase,
@@ -219,18 +197,43 @@ def finite_pointed_isomorphic(p1: PointedDatabase,
 
 
 def finite_automorphisms(db: RecursiveDatabase) -> list[dict[Element, Element]]:
-    """All automorphisms of a finite-domain database.
+    """All automorphisms of a finite-domain database, in lexicographic
+    order of the images.
 
-    The automorphism group drives ``≅_B`` for blown-up finite databases
-    (Section 3 constructions) and the QLf+ pipeline of Proposition 4.3.
+    Listed by the search of :func:`finite_isomorphisms`, so the cost
+    follows the group's order, not ``n!``.  The group closes the QLf+
+    pipeline's outputs (Proposition 4.3) and decides ``≅_B`` through
+    :func:`finite_part_equivalence`.
     """
-    elements = _finite_universe(db)
-    out = []
-    for perm in permutations(elements):
-        mapping = dict(zip(elements, perm))
-        if _respects_relations(db, db, mapping, elements):
-            out.append(mapping)
-    return out
+    return list(finite_isomorphisms(db, db))
+
+
+def finite_part_equivalence(finite_db: RecursiveDatabase
+                            ) -> Callable[[tuple, tuple], bool]:
+    """``≅_B`` for a database ``B`` whose facts all lie on a finite part
+    ``F`` (``finite_db``) while every other element is interchangeable.
+
+    Then ``Aut(B) = Aut(F) × Sym(rest)`` (Section 3's blown-up finite
+    databases, Proposition 4.1's fcf bridge): ``u ≅_B v`` iff the
+    equality patterns agree and some automorphism of ``F`` takes ``u``'s
+    ``F``-positions to ``v``'s while ``v``'s other positions stay outside
+    ``F``.  ``Aut(F)`` is listed once; each question scans it.
+    """
+    autos = finite_automorphisms(finite_db)
+    df = set(_finite_universe(finite_db))
+
+    def equiv(u: tuple, v: tuple) -> bool:
+        if equality_pattern(u) != equality_pattern(v):
+            return False
+        for sigma in autos:
+            for a, b in zip(u, v):
+                if (sigma[a] != b) if a in df else (b in df):
+                    break
+            else:
+                return True
+        return False
+
+    return equiv
 
 
 def orbit_partition(db: RecursiveDatabase, tuples: Sequence[tuple]) -> list[list[tuple]]:

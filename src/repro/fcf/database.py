@@ -23,12 +23,11 @@ from itertools import product
 
 from ..core.database import RecursiveDatabase
 from ..core.domain import Element, naturals_domain
-from ..core.isomorphism import finite_automorphisms
+from ..core.isomorphism import finite_part_equivalence
 from ..core.relation import RecursiveRelation
 from ..errors import NotHighlySymmetricError, RepresentationError
-from ..symmetric.constructions import build_tree, canonical_path
+from ..symmetric.constructions import build_tree
 from ..symmetric.hsdb import HSDatabase
-from ..util.partitions import equality_pattern
 from .relation import FcfValue
 
 
@@ -90,24 +89,7 @@ class FcfDatabase:
         """Proposition 4.1, first direction: the hs-r-db representation."""
         df = sorted(self.df)
         df_set = set(df)
-        autos = finite_automorphisms(self.finite_structure())
-
-        def equiv(u: tuple, v: tuple) -> bool:
-            if equality_pattern(u) != equality_pattern(v):
-                return False
-            for sigma in autos:
-                ok = True
-                for a, b in zip(u, v):
-                    if a in df_set:
-                        if sigma[a] != b:
-                            ok = False
-                            break
-                    elif b in df_set:
-                        ok = False
-                        break
-                if ok:
-                    return True
-            return False
+        equiv = finite_part_equivalence(self.finite_structure())
 
         def candidates(path):
             pool = list(df)

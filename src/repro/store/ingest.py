@@ -63,7 +63,9 @@ def load_manifest(path: str | Path) -> dict:
     path = Path(path)
     try:
         data = json.loads(path.read_bytes().decode("utf-8"))
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ManifestError(f"{path}: cannot read: {exc.strerror}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(
             data.get("databases"), dict) or not data["databases"]:

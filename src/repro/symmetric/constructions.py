@@ -35,7 +35,7 @@ from ..core.domain import (
     tagged_domain,
     union_domain,
 )
-from ..core.isomorphism import finite_automorphisms, finite_isomorphism
+from ..core.isomorphism import finite_isomorphism, finite_part_equivalence
 from ..errors import NotHighlySymmetricError, TypeSignatureError
 from ..util.partitions import equality_pattern
 from .hsdb import HSDatabase
@@ -116,8 +116,9 @@ def from_finite_database(finite_db: RecursiveDatabase,
     The relations are exactly the finite database's tuples; the countably
     many fresh elements participate in no relation and are therefore all
     interchangeable.  ``Aut(B) = Aut(F) × Sym(fresh)``, so ``≅_B`` is
-    decided by searching the (finite) automorphism group of ``F`` —
-    this is the highly symmetric face of the fcf databases of Section 4
+    decided on the finite part alone
+    (:func:`~repro.core.isomorphism.finite_part_equivalence`) — this is
+    the highly symmetric face of the fcf databases of Section 4
     (Proposition 4.1) restricted to finite relations.
     """
     if not finite_db.domain.is_finite:
@@ -126,24 +127,7 @@ def from_finite_database(finite_db: RecursiveDatabase,
     name = name or f"{finite_db.name}^inf"
     df = list(finite_db.domain.first(finite_db.domain.finite_size))
     df_set = set(df)
-    autos = finite_automorphisms(finite_db)
-
-    def equiv(u: tuple, v: tuple) -> bool:
-        if equality_pattern(u) != equality_pattern(v):
-            return False
-        for sigma in autos:
-            ok = True
-            for a, b in zip(u, v):
-                if a in df_set:
-                    if sigma[a] != b:
-                        ok = False
-                        break
-                elif b in df_set:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+    equiv = finite_part_equivalence(finite_db)
 
     def candidates(path: Path) -> list[Element]:
         pool: list[Element] = list(df)

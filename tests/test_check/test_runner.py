@@ -167,6 +167,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--seed"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--seed=x"], ["--seed", "x"], ["--cases=x"], ["--budget-s=x"],
+        ["--steps=x"], ["--workers=two"], ["--stress", "--threads=x"],
+        ["--stress", "--ops=x"],
+    ])
+    def test_non_numeric_value_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert "not a number" in str(exc.value)
+        assert "usage: python -m repro check" in str(exc.value)
+
     def test_module_dispatch(self, capsys):
         """``python -m repro check`` routes to the runner."""
         from repro.__main__ import COMMANDS

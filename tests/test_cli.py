@@ -139,6 +139,33 @@ class TestServeCommand:
             main(["serve", "--bogus"])
 
 
+class TestNonNumericArguments:
+    """A number that does not parse ends the command with its usage
+    line (``SystemExit``), not with a ``ValueError`` traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "m.json", "--store=s.sqlite", "--workers=two"],
+        ["ingest", "m.json", "--store=s.sqlite", "--budget-steps=x"],
+        ["engine", "rado", "exists x. R1(x, x)", "--repeat=x"],
+        ["serve", "--port=x"],
+        ["tree", "rado", "x"],
+        ["classes", "2,x", "2"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+    def test_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value)
+        assert "not a number" in message
+        assert f"usage: python -m repro {argv[0]}" in message
+
+    def test_unreadable_manifest_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", str(tmp_path / "missing.json"),
+                  f"--store={tmp_path / 's.sqlite'}"])
+        assert "missing.json: cannot read" in str(exc.value)
+        assert not (tmp_path / "s.sqlite").exists()
+
+
 class TestTraceCommand:
     def test_prints_verdict_and_tree(self, capsys):
         assert main(["trace", "rado",

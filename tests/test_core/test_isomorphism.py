@@ -1,14 +1,22 @@
 """Tests for local isomorphism (Proposition 2.2) and finite isomorphism search."""
 
 import gc
+import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.database import database_from_predicates, finite_database
+from repro.core.database import (
+    RecursiveDatabase,
+    database_from_predicates,
+    finite_database,
+)
 from repro.core.isomorphism import (
     finite_automorphisms,
     finite_isomorphism,
+    finite_isomorphisms,
+    finite_part_equivalence,
     finite_pointed_isomorphic,
     local_isomorphism_witness,
     locally_isomorphic,
@@ -165,3 +173,99 @@ class TestAutomorphisms:
         orbits = orbit_partition(A, [(0, 1), (1, 2), (2, 1)])
         as_sets = {frozenset(o) for o in orbits}
         assert as_sets == {frozenset({(0, 1), (2, 1)}), frozenset({(1, 2)})}
+
+
+def directed_cycle(n):
+    """The directed n-cycle i -> i+1 (mod n); its group is the n rotations."""
+    return finite_database([(2, [(i, (i + 1) % n) for i in range(n)])],
+                           range(n), name=f"C{n}")
+
+
+def brute_force_automorphisms(db):
+    """The n! reference: every permutation of the domain, in
+    lexicographic order, kept when it carries each relation onto itself."""
+    elements = db.domain.first(db.domain.finite_size)
+    out = []
+    for perm in permutations(elements):
+        sigma = dict(zip(elements, perm))
+        if all(db.contains(i, t) == db.contains(i, tuple(sigma[x] for x in t))
+               for i, arity in enumerate(db.type_signature)
+               for t in product(elements, repeat=arity)):
+            out.append(sigma)
+    return out
+
+
+def random_finite_db(seed):
+    """A seeded sparse finite database on at most 6 elements."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 6)
+    signature = rng.choice([(1,), (2,), (1, 2), (2, 2), (3,)])
+    relations = []
+    for arity in signature:
+        tuples = list(product(range(n), repeat=arity))
+        relations.append((arity, rng.sample(tuples, rng.randint(0, n))))
+    return finite_database(relations, range(n), name=f"R{seed}")
+
+
+def count_membership(monkeypatch, cap):
+    """Count ``RecursiveDatabase.contains`` calls, failing past ``cap``.
+
+    Returns a one-element list holding the running count.  The cap makes
+    an exponential search fail fast instead of running for minutes.
+    """
+    calls = [0]
+    original = RecursiveDatabase.contains
+
+    def contains(self, i, u):
+        calls[0] += 1
+        if calls[0] > cap:
+            raise AssertionError(f"more than {cap} membership checks")
+        return original(self, i, u)
+
+    monkeypatch.setattr(RecursiveDatabase, "contains", contains)
+    return calls
+
+
+class TestOneSearch:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_automorphisms_match_brute_force_in_order(self, seed):
+        db = random_finite_db(seed)
+        expected = brute_force_automorphisms(db)
+        got = finite_automorphisms(db)
+        assert [list(a.items()) for a in got] == \
+            [list(a.items()) for a in expected]
+
+    @pytest.mark.parametrize("seed", range(0, 40, 4))
+    def test_search_lists_exactly_the_extensions_of_fixing(self, seed):
+        db = random_finite_db(seed)
+        elements = db.domain.first(db.domain.finite_size)
+        if not elements:
+            return
+        x = elements[0]
+        for y in elements:
+            expected = [a for a in brute_force_automorphisms(db)
+                        if a[x] == y]
+            assert list(finite_isomorphisms(db, db, {x: y})) == expected
+            assert finite_isomorphism(db, db, {x: y}) == \
+                (expected[0] if expected else None)
+
+    def test_ten_cycle_group_found_by_search_not_by_scan(self, monkeypatch):
+        # Trying the 10! permutations passes a million checks.
+        calls = count_membership(monkeypatch, cap=50_000)
+        autos = finite_automorphisms(directed_cycle(10))
+        assert autos == [{i: (i + r) % 10 for i in range(10)}
+                         for r in range(10)]
+        assert calls[0] <= 50_000
+
+
+class TestFinitePartEquivalence:
+    def test_decides_on_the_finite_part(self):
+        equiv = finite_part_equivalence(path_graph(3))
+        g0, g1 = ("g", 0), ("g", 1)
+        assert equiv((0,), (2,))                    # end-swap
+        assert not equiv((0,), (1,))
+        assert equiv((0, 1, g0), (2, 1, g1))
+        assert not equiv((0, 2), (2, 1))
+        assert equiv((g0, g1), (g1, g0))            # fresh elements
+        assert not equiv((g0,), (0,))               # fresh vs finite
+        assert not equiv((0, g0), (0, 0))           # equality pattern
