@@ -1,6 +1,6 @@
 """E18 — concurrency: thread safety costs ≤10% on the warm path.
 
-Claim: the lock-striped result cache and atomic budgets that make the
+Claim: the one-lock result cache and atomic budgets that make the
 engine concurrency-correct (docs/concurrency.md) do not meaningfully
 tax the single-threaded warm path that E15 measured.  Measured: the
 warm Rado-workload time of a locked engine versus an identical engine
@@ -122,7 +122,7 @@ def test_e18_lock_overhead_within_ceiling():
     report("E18 lock overhead (warm Rado workload)", [
         ("unlocked (seed) warm", f"{unlocked * 1e3:.3f} ms",
          f"{ROUNDS} rounds"),
-        ("locked (striped) warm", f"{locked * 1e3:.3f} ms",
+        ("locked (one lock) warm", f"{locked * 1e3:.3f} ms",
          f"{ROUNDS} rounds"),
         ("ratio", f"{ratio:.3f}x", f"(ceiling: {CEILING}x)"),
     ])
@@ -158,7 +158,7 @@ def test_e18_raw_cache_op_overhead():
     unlocked = min(drive(unlocked_cache) for __ in range(5))
     report("E18 raw cache op cost", [
         ("unlocked", f"{unlocked / n * 1e9:.0f} ns/op", f"{n} ops"),
-        ("locked striped", f"{locked / n * 1e9:.0f} ns/op", f"{n} ops"),
+        ("locked (one lock)", f"{locked / n * 1e9:.0f} ns/op", f"{n} ops"),
     ])
     stats = locked_cache.stats()
     # 6 drives (1 warm-up + 5 timed), each issuing n//2 counted gets.

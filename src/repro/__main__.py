@@ -74,6 +74,7 @@ e.g. ``python -m repro engine rado "exists x. R1(x, x)" --trace=t.jsonl``.
 
 from __future__ import annotations
 
+import os
 import sys
 
 from . import __version__
@@ -374,4 +375,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        # Flush here, so a reader that went away (``... | head -1``) is
+        # caught below rather than at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so the exit-time flush of what is
+        # still buffered cannot raise again, and fail without a
+        # traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)

@@ -53,7 +53,6 @@ import threading
 from dataclasses import dataclass, field
 
 from ..engine import Engine, lower_all, plan_from_term
-from ..engine.executor import Engine as _EngineCls
 from ..engine.frontends import FCF_ROUTES
 from ..errors import OutOfFuel, RepresentationError
 from ..fcf.qlf import QLfInterpreter
@@ -64,7 +63,7 @@ from ..logic.transform import eliminate_implications, nnf
 from ..qlhs import ast as q
 from ..qlhs.interpreter import QLhsInterpreter
 from ..trace import Budget, limits
-from ..engine.verdict import Verdict
+from ..engine.verdict import Verdict, truth
 from .generators import (
     Case,
     builtin_hsdb,
@@ -152,10 +151,6 @@ class CaseContext:
 
     # -- value helpers -------------------------------------------------------
 
-    def truth(self, value) -> bool:
-        """Truth (nonemptiness) of an evaluated relation."""
-        return _EngineCls._truth(value)
-
     def membership(self, value, probes=None) -> tuple[bool, ...]:
         """Pointwise membership of the probe tuples in a value."""
         probes = self.case.probes if probes is None else probes
@@ -168,7 +163,7 @@ class CaseContext:
 
     def _route_from_value(self, name: str, value,
                           with_membership: bool) -> RouteResult:
-        verdict = Verdict.of(self.truth(value), value=value)
+        verdict = Verdict.of(truth(value), value=value)
         membership = (self.membership(value)
                       if with_membership and self.case.probes else None)
         return RouteResult(name, verdict, membership)
@@ -231,8 +226,8 @@ class CaseContext:
     def _direct_fo(self, want_members: bool) -> RouteResult:
         """The Theorem 6.3 evaluator, bypassing the engine entirely."""
         if not self.variables:
-            truth = fo_evaluate(self.hsdb, self.query)
-            return RouteResult("direct-fo", Verdict.of(truth))
+            return RouteResult("direct-fo", Verdict.of(
+                fo_evaluate(self.hsdb, self.query)))
         membership = None
         if want_members:
             from ..logic.evaluator import relation_from_formula

@@ -225,13 +225,15 @@ def hammer_cache(seed: int, threads: int = DEFAULT_THREADS,
 
     Invariants: zero exceptions (the pre-fix TOCTOU ``get`` raised
     ``KeyError`` here), ``hits + misses`` equals the counted lookups
-    exactly, the quiescent size respects ``maxsize``, and the stats
-    snapshot agrees with the live counters.
+    exactly, ``len`` and ``stats().size`` respect ``maxsize`` at every
+    observation (the workers' own polls as well as at quiescence), and
+    the stats snapshot agrees with the live counters.
     """
     cache = ResultCache(maxsize=256)
     keyspace = [ResultCache.key("fp", Scan(0), ("k", j))
                 for j in range(1024)]
     lookups = [0] * threads
+    oversized = [0] * threads
 
     def work(i: int) -> None:
         rng = random.Random((seed << 8) + i)
@@ -245,11 +247,14 @@ def hammer_cache(seed: int, threads: int = DEFAULT_THREADS,
                 cache.put(key, ("value", key))
             elif roll < 0.95:
                 key in cache  # noqa: B015 — uncounted containment probe
-            else:
-                len(cache), cache.stats()
+            elif max(len(cache), cache.stats().size) > cache.maxsize:
+                oversized[i] += 1
 
     errors = _run_threads(threads, work)
     failures = [f"worker raised {type(e).__name__}: {e}" for e in errors]
+    if sum(oversized):
+        failures.append(f"{sum(oversized)} polls saw more than maxsize "
+                        f"{cache.maxsize} entries")
     stats = cache.stats()
     if stats.hits + stats.misses != sum(lookups):
         failures.append(

@@ -19,16 +19,14 @@ Both levels expose :class:`~repro.engine.stats.CacheStats` snapshots.
 Thread safety (the serving-tier contract, ``docs/concurrency.md``):
 one :class:`EngineCache` may back N engines on N threads.  The plan
 cache inherits the locked memo of :func:`~repro.util.memo.lru_cached`;
-the result cache is **lock-striped** — keys hash to one of several
-shards, each an ``OrderedDict`` guarded by its own lock, so concurrent
-lookups of distinct keys proceed in parallel while each individual
-``get``/``put`` (LRU refresh included) is atomic.  Eviction keeps a
-global bound with near-exact LRU order via per-entry touch stamps.
+the result cache is one ``OrderedDict`` behind one lock, held for a
+single dict operation and never across a computation, so each
+``get``/``put`` (LRU refresh and eviction included) is atomic and the
+LRU order is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import OrderedDict
 from collections.abc import Hashable
@@ -37,11 +35,6 @@ from typing import Any
 from ..util.memo import MISS, lru_cached
 from .plan import Plan, normalize
 from .stats import CacheStats
-
-#: Default shard count of :class:`ResultCache` — enough stripes that
-#: eight engine threads rarely collide, few enough that the all-shard
-#: operations (``clear``, eviction victim scan) stay trivial.
-DEFAULT_SHARDS = 16
 
 
 class PlanCache:
@@ -138,60 +131,38 @@ class PlanCache:
             self._rewrites.clear()
 
 
-class _Shard:
-    """One stripe of the result cache: an LRU dict plus its lock.
-
-    Entries are two-slot lists ``[value, stamp]``; the stamp is a
-    global monotonic touch counter used to pick the globally oldest
-    entry at eviction time (per-shard LRU order alone would evict the
-    newest insert whenever it landed in an otherwise empty shard).
-    """
-
-    __slots__ = ("lock", "data", "hits", "misses", "evictions",
-                 "shared_hits", "shared_misses")
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.data: OrderedDict[Hashable, list] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.shared_hits = 0
-        self.shared_misses = 0
-
-
 class ResultCache:
-    """Bounded, lock-striped LRU of finished answers (level 2).
+    """Bounded LRU of finished answers (level 2).
 
     Keys are ``(fingerprint, plan, args)`` triples; values are whatever
     the executor produced (path frozensets, booleans, ``FcfValue``\\ s —
     all immutable, so sharing is safe).
 
     Concurrency contract: every public method is safe to call from any
-    thread.  ``get`` is atomic (containment check, LRU refresh, and
-    counter bump under one shard lock — no TOCTOU window), ``put``
-    is atomic per shard with the global-bound eviction loop running
-    lock-free between shards; the size may transiently overshoot
-    ``maxsize`` by at most the number of concurrent writers and is
-    restored to ``<= maxsize`` by the time every ``put`` returns.
-    Counters satisfy ``hits + misses == counted lookups`` exactly, where
-    a :meth:`peek` is a counted lookup only when it hits.
+    thread.  One lock guards the dict and the counters, and each method
+    holds it for one dict operation: ``get`` is atomic (containment
+    check, LRU refresh, and counter bump — no TOCTOU window), and
+    ``put`` inserts and evicts the least recently used entry before it
+    releases the lock, so ``len(cache) <= maxsize`` at every
+    observation.  Counters satisfy ``hits + misses == counted lookups``
+    exactly, where a :meth:`peek` is a counted lookup only when it hits.
 
     Parameters
     ----------
     maxsize:
-        Global entry bound across all shards.
-    shards:
-        Stripe count (clamped to ``maxsize`` so tiny caches keep exact
-        single-dict semantics; default :data:`DEFAULT_SHARDS`).
+        Entry bound.
     """
 
-    def __init__(self, maxsize: int = 65536,
-                 shards: int = DEFAULT_SHARDS):
+    def __init__(self, maxsize: int = 65536):
         self.maxsize = maxsize
-        nshards = max(1, min(shards, maxsize))
-        self._shards = tuple(_Shard() for __ in range(nshards))
-        self._ticker = itertools.count()
+        self._lock = threading.Lock()
+        self._data: OrderedDict[Hashable, Any] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        # The part of hits/misses made by ``shared=True`` lookups.
+        self.shared_hits = 0
+        self.shared_misses = 0
 
     @staticmethod
     def key(fingerprint: str, plan: Plan,
@@ -199,18 +170,14 @@ class ResultCache:
         """The canonical ``(fingerprint, plan, args)`` cache key."""
         return (fingerprint, plan, args)
 
-    def _shard_for(self, key: Hashable) -> _Shard:
-        """The stripe ``key`` lives in (stable hash partition)."""
-        return self._shards[hash(key) % len(self._shards)]
-
     def get(self, key: Hashable, default: Any = None, *,
             shared: bool = False) -> Any:
         """Counted lookup: a hit refreshes LRU order, a miss counts.
 
-        Atomic under the key's shard lock: the historical
-        ``key in dict`` / ``dict[key]`` two-step (which could raise
-        ``KeyError`` when a concurrent ``put`` evicted in between) is
-        folded into one locked access.
+        Atomic under the cache lock: the historical ``key in dict`` /
+        ``dict[key]`` two-step (which could raise ``KeyError`` when a
+        concurrent ``put`` evicted in between) is folded into one
+        locked access.
 
         ``shared=True`` marks the lookup as a *shared-subplan* probe
         (interior boundary of a compiled plan, or a batch common
@@ -218,19 +185,17 @@ class ResultCache:
         additionally in the ``shared_*`` split, so observers can tell
         cross-query sharing from root-level traffic.
         """
-        shard = self._shard_for(key)
-        with shard.lock:
-            entry = shard.data.get(key)
-            if entry is not None:
-                shard.data.move_to_end(key)
-                entry[1] = next(self._ticker)
-                shard.hits += 1
+        with self._lock:
+            value = self._data.get(key, MISS)
+            if value is not MISS:
+                self._data.move_to_end(key)
+                self.hits += 1
                 if shared:
-                    shard.shared_hits += 1
-                return entry[0]
-            shard.misses += 1
+                    self.shared_hits += 1
+                return value
+            self.misses += 1
             if shared:
-                shard.shared_misses += 1
+                self.shared_misses += 1
             return default
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
@@ -243,128 +208,59 @@ class ResultCache:
         <repro.engine.executor.Engine.cached_verdict>`), so one lookup is
         never counted twice.
         """
-        shard = self._shard_for(key)
-        with shard.lock:
-            entry = shard.data.get(key)
-            if entry is None:
+        with self._lock:
+            value = self._data.get(key, MISS)
+            if value is MISS:
                 return default
-            shard.data.move_to_end(key)
-            entry[1] = next(self._ticker)
-            shard.hits += 1
-            return entry[0]
+            self._data.move_to_end(key)
+            self.hits += 1
+            return value
 
     def __contains__(self, key: Hashable) -> bool:
         # Pure containment check — does not touch the counters; use
         # ``get`` for the counted access path.
-        shard = self._shard_for(key)
-        with shard.lock:
-            return key in shard.data
+        with self._lock:
+            return key in self._data
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) an entry, evicting the LRU on overflow."""
-        shard = self._shard_for(key)
-        with shard.lock:
-            shard.data[key] = [value, next(self._ticker)]
-            shard.data.move_to_end(key)
-        while len(self) > self.maxsize:
-            if not self._evict_one():
-                break
-
-    def _evict_one(self) -> bool:
-        """Evict the (approximately) globally oldest entry.
-
-        Scans shard heads for the minimal touch stamp, then pops that
-        shard's LRU entry.  Between the scan and the pop another thread
-        may touch the shard — the pop still removes *that shard's*
-        oldest entry, so the policy degrades to near-LRU rather than
-        breaking.  Returns ``False`` when every shard is empty.
-        """
-        victim: _Shard | None = None
-        oldest: int | None = None
-        for shard in self._shards:
-            with shard.lock:
-                if shard.data:
-                    head = next(iter(shard.data.values()))
-                    if oldest is None or head[1] < oldest:
-                        oldest = head[1]
-                        victim = shard
-        if victim is None:
-            return False
-        with victim.lock:
-            if not victim.data:
-                return False
-            victim.data.popitem(last=False)
-            victim.evictions += 1
-            return True
-
-    # -- aggregate counters (summed across shards) ---------------------------
-
-    @property
-    def hits(self) -> int:
-        """Total counted hits across all shards."""
-        return sum(s.hits for s in self._shards)
-
-    @property
-    def misses(self) -> int:
-        """Total counted misses across all shards."""
-        return sum(s.misses for s in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        """Total LRU evictions across all shards."""
-        return sum(s.evictions for s in self._shards)
-
-    @property
-    def shards(self) -> int:
-        """Number of lock stripes."""
-        return len(self._shards)
-
-    @property
-    def shared_hits(self) -> int:
-        """Total shared-subplan probe hits across all shards."""
-        return sum(s.shared_hits for s in self._shards)
-
-    @property
-    def shared_misses(self) -> int:
-        """Total shared-subplan probe misses across all shards."""
-        return sum(s.shared_misses for s in self._shards)
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            if len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+                self.evictions += 1
 
     def stats(self) -> CacheStats:
         """A :class:`CacheStats` snapshot of the result cache."""
-        return CacheStats(hits=self.hits, misses=self.misses,
-                          evictions=self.evictions, size=len(self),
-                          shared_hits=self.shared_hits,
-                          shared_misses=self.shared_misses)
+        with self._lock:
+            return CacheStats(hits=self.hits, misses=self.misses,
+                              evictions=self.evictions,
+                              size=len(self._data),
+                              shared_hits=self.shared_hits,
+                              shared_misses=self.shared_misses)
 
     def items(self) -> list[tuple[Hashable, Any]]:
         """A point-in-time ``(key, value)`` snapshot of every entry.
 
-        Collected shard by shard under each shard's lock (uncounted —
-        LRU order and hit/miss tallies are untouched), so the snapshot
-        is consistent per shard and safe against concurrent writers.
+        Uncounted (LRU order and hit/miss tallies are untouched) and
+        taken under the lock, so it is safe against concurrent writers.
         This is what :meth:`repro.store.backend.Store.snapshot_cache`
         walks to persist a live cache.
         """
-        out: list[tuple[Hashable, Any]] = []
-        for shard in self._shards:
-            with shard.lock:
-                out.extend((key, entry[0])
-                           for key, entry in shard.data.items())
-        return out
+        with self._lock:
+            return list(self._data.items())
 
     def clear(self) -> None:
         """Drop every entry and zero the hit/miss/eviction counters."""
-        for shard in self._shards:
-            with shard.lock:
-                shard.data.clear()
-                shard.hits = 0
-                shard.misses = 0
-                shard.evictions = 0
-                shard.shared_hits = 0
-                shard.shared_misses = 0
+        with self._lock:
+            self._data.clear()
+            self.hits = self.misses = self.evictions = 0
+            self.shared_hits = self.shared_misses = 0
 
     def __len__(self) -> int:
-        return sum(len(s.data) for s in self._shards)
+        with self._lock:
+            return len(self._data)
 
 
 class EngineCache:
@@ -380,11 +276,9 @@ class EngineCache:
     """
 
     def __init__(self, plan_maxsize: int = 4096,
-                 result_maxsize: int = 65536,
-                 result_shards: int = DEFAULT_SHARDS):
+                 result_maxsize: int = 65536):
         self.plans = PlanCache(maxsize=plan_maxsize)
-        self.results = ResultCache(maxsize=result_maxsize,
-                                   shards=result_shards)
+        self.results = ResultCache(maxsize=result_maxsize)
 
     def clear(self) -> None:
         """Clear both levels."""

@@ -93,7 +93,7 @@ from .plan import (
     Union,
 )
 from .stats import MutableEngineStats, Timer
-from .verdict import Verdict
+from .verdict import Verdict, truth
 
 #: The budget governing the evaluation currently in flight, scoped per
 #: context (and therefore per thread): two threads evaluating through
@@ -226,7 +226,7 @@ class Engine:
 
     def holds(self, plan: Plan) -> bool:
         """Truth of a rank-0 plan (nonemptiness in general)."""
-        return self._truth(self.evaluate(plan))
+        return truth(self.evaluate(plan))
 
     def eval(self, plan: Plan, *,
              budget: Budget | int | None = None) -> Verdict:
@@ -263,7 +263,7 @@ class Engine:
                 self._stats.record_verdict(verdict.status, verdict.reason)
                 sp.set(verdict=verdict.status, reason=verdict.reason)
                 return verdict
-            verdict = Verdict.of(self._truth(value), value=value)
+            verdict = Verdict.of(truth(value), value=value)
             self._stats.record_verdict(verdict.status)
             sp.set(verdict=verdict.status)
             return verdict
@@ -295,7 +295,7 @@ class Engine:
             ResultCache.key(self.fingerprint, prepared, ()), missing)
         if value is missing:
             return None
-        verdict = Verdict.of(self._truth(value), value=value)
+        verdict = Verdict.of(truth(value), value=value)
         self._stats.add(evaluations=1,
                         wall_time=time.perf_counter() - start)
         self._stats.record_verdict(verdict.status)
@@ -441,15 +441,6 @@ class Engine:
         if max_steps is not None:
             return base.fork(max_steps=max_steps)
         return base
-
-    @staticmethod
-    def _truth(value: Value | FcfValue) -> bool:
-        """Truth of an evaluated relation: nonemptiness (rank-0 fcf
-        values test ``()``-membership, honouring co-finiteness)."""
-        if isinstance(value, FcfValue):
-            return value.contains(()) if value.rank == 0 else bool(
-                value.tuples or value.cofinite)
-        return not value.is_empty
 
     def _child_time(self) -> list[float]:
         """This thread's exclusive-time stack (lazily created).

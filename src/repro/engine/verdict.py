@@ -54,9 +54,25 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from ..fcf.relation import FcfValue
+
 TRUE = "true"
 FALSE = "false"
 UNKNOWN = "unknown"
+
+
+def truth(value) -> bool:
+    """Truth of an evaluated relation: nonemptiness.
+
+    Rank-0 fcf values test ``()``-membership, honouring co-finiteness;
+    a ``bool`` (a stored membership answer) is its own truth.
+    """
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, FcfValue):
+        return value.contains(()) if value.rank == 0 else bool(
+            value.tuples or value.cofinite)
+    return not value.is_empty
 
 
 @dataclass(frozen=True)

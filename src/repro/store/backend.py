@@ -53,9 +53,8 @@ from pathlib import Path
 from typing import Any
 
 from ..engine.cache import EngineCache, ResultCache
-from ..engine.verdict import Verdict
+from ..engine.verdict import Verdict, truth
 from ..errors import RepresentationError
-from ..fcf.relation import FcfValue
 from . import codec
 
 #: Schema version stamped into ``meta``; mismatches fail loudly.
@@ -98,18 +97,6 @@ CREATE INDEX IF NOT EXISTS results_by_db ON results (fingerprint);
 
 class StoreError(RepresentationError):
     """A store file this library cannot use (bad schema version)."""
-
-
-def _truth(value: Any) -> bool:
-    """Truth of an evaluated relation — nonemptiness, mirroring
-    :meth:`repro.engine.executor.Engine._truth` (rank-0 fcf values test
-    ``()``-membership, honouring co-finiteness)."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, FcfValue):
-        return value.contains(()) if value.rank == 0 else bool(
-            value.tuples or value.cofinite)
-    return not value.is_empty
 
 
 class Store:
@@ -349,7 +336,7 @@ class Store:
         for cls, __, __, __, value_text in rows:
             if cls == ANY_BUDGET:
                 value = codec.value_from_json(json.loads(value_text))
-                return Verdict.of(_truth(value), value=value)
+                return Verdict.of(truth(value), value=value)
         if max_steps is None:
             return None  # unbounded request: no finite UNKNOWN applies
         for cls, status, reason, steps, __ in rows:

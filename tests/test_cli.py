@@ -234,3 +234,22 @@ class TestSubprocessSmoke:
         proc = run_module("serve", "--print-config")
         assert proc.returncode == 0
         assert "databases" in json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_exits_without_traceback(self, unbuffered):
+        """``python -m repro check ... | head -1``: the reader is gone.
+        Unbuffered, the next ``print`` raises; buffered, the exit-time
+        flush does.  Either way: a nonzero exit and a quiet stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "info"], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr

@@ -1,7 +1,7 @@
 """Concurrency suite: the thread-safety contract of ``docs/concurrency.md``.
 
 Each fast test here pins one of the concurrency fixes (atomic budgets,
-the lock-striped result cache, context-scoped active budgets,
+the locked result cache, context-scoped active budgets,
 mid-batch cancellation); on the pre-fix code every
 one of them fails — deterministically for the budget accounting (the
 old committing ``charge`` always overshoots under contention) and
@@ -103,7 +103,7 @@ class TestBudgetAtomicity:
 
 
 class TestResultCacheRaces:
-    """Satellite 3 (+ tentpole): the striped cache under contention."""
+    """The one-lock result cache under contention."""
 
     def test_get_put_toctou_stress(self, tight_gil):
         """Pre-fix: ``key in dict`` → evict → ``dict[key]`` raised
@@ -133,8 +133,39 @@ class TestResultCacheRaces:
             assert stats.hits + stats.misses == sum(lookups)
             assert len(cache) <= cache.maxsize
 
-    def test_striped_semantics_match_sequential(self):
-        """Single-threaded, the stripes behave like one LRU dict."""
+    def test_size_bound_holds_at_every_observation(self, tight_gil):
+        """Eight writers churn a 32-entry cache while a reader polls:
+        no ``len`` or ``stats().size`` may exceed ``maxsize`` at any
+        moment, not only once the writers are done."""
+        cache = ResultCache(maxsize=32)
+        keys = [ResultCache.key("fp", Scan(0), ("k", j))
+                for j in range(256)]
+        writers = 8
+        finished = []
+        polls = []
+
+        def work(i):
+            if i == writers:  # the reader
+                peak = count = 0
+                while len(finished) < writers:
+                    peak = max(peak, len(cache), cache.stats().size)
+                    count += 1
+                polls.append((peak, count))
+                return
+            try:
+                for j in range(2000):
+                    cache.put(keys[(i * 37 + j) % len(keys)], j)
+            finally:
+                finished.append(i)  # so the reader stops either way
+
+        errors = _run_threads(writers + 1, work)
+        assert errors == []
+        (peak, count), = polls
+        assert count > 0
+        assert peak <= cache.maxsize
+
+    def test_sequential_use_is_exact_lru(self):
+        """Single-threaded, the cache is one LRU dict."""
         cache = ResultCache(maxsize=3)
         keys = [ResultCache.key("fp", Scan(0), ("k", j)) for j in range(4)]
         for j, key in enumerate(keys):
@@ -145,8 +176,7 @@ class TestResultCacheRaces:
         assert cache.evictions == 1
         assert len(cache) == 3
 
-    def test_concurrent_distinct_shards_do_not_serialize_errors(
-            self, tight_gil):
+    def test_concurrent_distinct_keys_lose_nothing(self, tight_gil):
         """Many writers on disjoint keys: exact counters, no loss."""
         cache = ResultCache(maxsize=4096)
         per_thread = 500

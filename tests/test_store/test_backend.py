@@ -12,11 +12,10 @@ import pytest
 
 from repro.engine.cache import EngineCache, ResultCache
 from repro.engine.plan import Complement, FullScan, MachineFixpoint, Scan
-from repro.engine.verdict import Verdict
+from repro.engine.verdict import Verdict, truth as _truth
 from repro.fcf.relation import cofinite_value, finite_value
 from repro.qlhs.interpreter import Value
 from repro.store import ANY_BUDGET, Store, StoreError
-from repro.store.backend import _truth
 from repro.store.codec import args_to_json, canonical_plan_text, plan_hash
 
 FP = "a" * 64        # a fabricated database fingerprint
